@@ -19,7 +19,6 @@ from .bundles import (
     gaussian_binomial_two,
     grassmann_ring,
     make_bundle,
-    p_polynomial,
     projective_ring,
     projective_x_classes,
     q_tilde_ring,

@@ -348,11 +348,6 @@ class PPolyTable:
         return self._p_xi[i]
 
 
-def p_polynomial(i: int, table: PPolyTable) -> Polynomial:
-    """The i-th recurrence polynomial p_i(Y, Z)."""
-    return table.p(i)
-
-
 def _grassmann_setup(b: BundleSpec, extra_gens, truncation: int | None):
     b = _with_coeffs(b, Coeffs.F2)
     n, d = b.n, b.d

@@ -27,13 +27,14 @@ from .obstruct import (
     NotFoundUpTo,
     default_k_max,
     feder_of,
+    first_vanishing,
     grassmann_of,
-    gysin_equivalence_check,
+    powers,
     projective_of,
     q_tilde_of,
-    sphere_quotient_ring,
-    symm_proj_test,
-    symm_sphere_test,
+    sphere_powers,
+    symm_proj_powers,
+    symm_sphere_powers,
 )
 from .polyalg import (
     Coeffs,
@@ -216,80 +217,36 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
 class CriterionResult:
     name: str
     min_k: int | NotFoundUpTo
-    witness_k: int | None
     witness: str | None
 
     @property
     def found(self) -> bool:
         return isinstance(self.min_k, int)
 
-
-def _search(name: str, test, witness_element, k_max: int) -> CriterionResult:
-    """Find the least k with test(k) true; witness_element(k-1) names the last
-    obstruction."""
-    for k in range(k_max + 1):
-        if test(k):
-            if k == 0:
-                return CriterionResult(name, 0, None, None)
-            el = witness_element(k - 1)
-            return CriterionResult(name, k, k - 1, render_polynomial(el.poly))
-    el = witness_element(k_max)
-    return CriterionResult(
-        name, NotFoundUpTo(k_max), k_max, render_polynomial(el.poly)
-    )
+    @property
+    def witness_k(self) -> int | None:
+        if self.witness is None:
+            return None
+        return self.min_k - 1 if self.found else self.min_k.k_max
 
 
 def run_criteria(spec: ParsedSpec, k_max: int | None = None) -> list[CriterionResult]:
     b = spec.bundle
     if k_max is None:
         k_max = spec.k_max if spec.k_max is not None else default_k_max(b)
-    results: list[CriterionResult] = []
-
+    searches = []
     if b.field is KField.R:
-        quotient = sphere_quotient_ring(b)
-        w_n = quotient.element(b.w(b.n).poly)
-        results.append(
-            _search(
-                "sphere_divisibility",
-                lambda k: gysin_equivalence_check(b, k),
-                lambda k: w_n ** k,
-                k_max,
-            )
-        )
-        _, e_zeta, _ = projective_of(b)
-        results.append(
-            _search(
-                "symm_sphere",
-                lambda k: symm_sphere_test(b, k),
-                lambda k: e_zeta ** k,
-                k_max,
-            )
-        )
-
-    coeff_choices = [b.base.ring.coeffs]
+        searches += [("sphere_divisibility", sphere_powers(b)),
+                     ("symm_sphere", symm_sphere_powers(b))]
     if b.base.ring.coeffs is Coeffs.INT:
-        coeff_choices.append(Coeffs.F2)
-    for coeffs in coeff_choices:
-        label = "z" if coeffs is Coeffs.INT else "f2"
-        _, e_pair = q_tilde_of(b, coeffs)
-        results.append(
-            _search(
-                f"proj_pair_{label}",
-                lambda k, e=e_pair: (e ** k).is_zero(),
-                lambda k, e=e_pair: e ** k,
-                k_max,
-            )
-        )
-
-    _, _, e_alpha, _ = feder_of(b)
-    results.append(
-        _search(
-            "symm_proj",
-            lambda k: symm_proj_test(b, k),
-            lambda k: e_alpha ** k,
-            k_max,
-        )
-    )
+        searches.append(("proj_pair_z", powers(q_tilde_of(b, Coeffs.INT)[1])))
+    searches += [("proj_pair_f2", powers(q_tilde_of(b, Coeffs.F2)[1])),
+                 ("symm_proj", symm_proj_powers(b))]
+    results = []
+    for name, seq in searches:
+        min_k, witness = first_vanishing(seq, k_max)
+        rendered = None if witness is None else render_polynomial(witness.poly)
+        results.append(CriterionResult(name, min_k, rendered))
     return results
 
 

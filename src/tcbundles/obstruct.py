@@ -1,18 +1,23 @@
 """Euler-class power criteria bounding the complexity of fibrewise motion planning.
 
-Each test decides whether a power of a named Euler class vanishes in the
-appropriate presented cohomology ring.  A nonzero k-th power obstructs motion
-planners with k+1 local rules; the tests therefore report lower-bound
-information only.  Wherever the literature supplies two independent ways to
-compute the same verdict (quotient-ring reduction vs. degreewise linear
-algebra, direct power vs. a module-basis reduction), both are run and any
+Each criterion is a power sequence: the powers e^0, e^1, e^2, ... of a named
+Euler class in the appropriate presented cohomology ring, one reduced
+multiplication per step.  A nonzero k-th power obstructs motion planners
+with k+1 local rules; the criteria therefore report lower-bound information
+only.  Wherever the literature supplies a second, independent way to compute
+the same verdict (degreewise linear algebra, long division in t, a
+module-basis reduction), that route advances in lockstep and the first
 mismatch raises :class:`InternalDisagreementError` rather than returning.
+:func:`first_vanishing` reads the least vanishing power and its witness off
+a sequence; the per-k tests read a single term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from .bundles import (
     BundleError,
@@ -48,31 +53,77 @@ class NotFoundUpTo:
 
 
 def default_k_max(b: BundleSpec) -> int:
-    """Search bound 2*(n+1)*d + 2, comfortably past every worked example."""
-    return 2 * b.rank * b.d + 2
+    """Search bound max(2*(n+1)*d + 2, dim_B // d + 2n), dim_B the base's top
+    degree; just the first term when the base has none.
+
+    The Feder ring tops out at dim_B + (2n-1)d and e(alpha) has degree d, so
+    e(alpha)^k = 0 by k = dim_B // d + 2n; every other criterion ring has a
+    smaller top-degree/degree ratio, so no search stops short of nilpotency.
+    """
+    bound = 2 * b.rank * b.d + 2
+    dim_b = b.base.top_degree()
+    if dim_b is None:
+        return bound
+    return max(bound, dim_b // b.d + 2 * b.rank - 2)
 
 
-def min_k_vanishing(e: Element, k_max: int) -> int | NotFoundUpTo:
-    """Smallest k <= k_max with e^k = 0, or NotFoundUpTo(k_max).
+def powers(e: Element) -> Iterator[Element]:
+    """The power sequence e^0, e^1, e^2, ..., one reduced multiplication per step."""
+    power = e.pres.one()
+    while True:
+        yield power
+        power = power * e
 
-    Powers are built incrementally, reducing after each multiplication, so
-    the search cost is k_max ring multiplications and never re-expands.
+
+def _lockstep(
+    what: str, seq: Iterator[Element], verdicts: Iterator[bool], routes: tuple[str, str]
+) -> Iterator[Element]:
+    """Pass ``seq`` through, raising at the first k where e^k = 0 disagrees
+    with the k-th verdict of the second route."""
+    for k, (power, other) in enumerate(zip(seq, verdicts)):
+        if power.is_zero() != other:
+            raise InternalDisagreementError(
+                f"{what} routes disagree at k={k}: "
+                f"{routes[0]}={power.is_zero()}, {routes[1]}={other}"
+            )
+        yield power
+
+
+def first_vanishing(
+    seq: Iterable[Element], k_max: int
+) -> tuple[int | NotFoundUpTo, Element | None]:
+    """The least k <= k_max with e^k = 0 in a power sequence and the witness
+    e^(k-1) (None for k = 0), or NotFoundUpTo(k_max) and the witness e^k_max.
+
+    No term past e^k_max is computed.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    power = e.pres.one()
-    for k in range(k_max + 1):
-        if k:
-            power = power * e
+    witness = None
+    for k, power in enumerate(seq):
         if power.is_zero():
-            return k
-    return NotFoundUpTo(k_max)
+            return k, witness
+        if k == k_max:
+            return NotFoundUpTo(k_max), power
+        witness = power
+
+
+def min_k_vanishing(e: Element, k_max: int) -> int | NotFoundUpTo:
+    """Smallest k <= k_max with e^k = 0, or NotFoundUpTo(k_max)."""
+    return first_vanishing(powers(e), k_max)[0]
+
+
+def _term(seq: Iterator[Element], k: int) -> Element:
+    """The k-th term of a power sequence, after every check up to k."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return next(islice(seq, k, None))
 
 
 # -- cached ring constructions ---------------------------------------------------
 #
-# The min-k searches and the CLI call the same constructions for many values
-# of k; the specs are immutable and hashable, so plain memoization is safe.
+# The criteria, the per-k tests and the CLI share these constructions; the
+# specs are immutable and hashable, so plain memoization is safe.
 
 
 @lru_cache(maxsize=None)
@@ -136,8 +187,11 @@ def sphere_divisibility_test(b: BundleSpec, k: int) -> bool:
     _require_real_f2(b, "the sphere divisibility test")
     if k < 0:
         raise ValueError("k must be >= 0")
+    return _divisible_by_top_class(b, b.w(b.n) ** k)
+
+
+def _divisible_by_top_class(b: BundleSpec, target: Element) -> bool:
     base = b.base
-    target = b.w(b.n) ** k
     if target.is_zero():
         return True
     wtop = b.w(b.rank)
@@ -179,65 +233,66 @@ def sphere_quotient_ring(b: BundleSpec) -> Presentation:
     return Presentation(b.base.ring, rels, Strategy.GROEBNER_F2, trunc).complete()
 
 
+def sphere_powers(b: BundleSpec) -> Iterator[Element]:
+    """Powers of w_n in the sphere quotient ring, each checked against the
+    divisibility of w_n^k by w_(n+1) in the base."""
+    _require_real_f2(b, "the sphere divisibility test")
+    w_n = b.w(b.n)
+    divisible = (_divisible_by_top_class(b, p) for p in powers(w_n))
+    quotient = powers(sphere_quotient_ring(b).element(w_n.poly))
+    return _lockstep("sphere-bundle", quotient, divisible, ("quotient", "divisibility"))
+
+
 def gysin_equivalence_check(b: BundleSpec, k: int) -> bool:
     """Run the divisibility test and the quotient-ring computation of the same
-    vanishing statement; raise on any mismatch, else return the shared verdict."""
-    by_division = sphere_divisibility_test(b, k)
-    quotient = sphere_quotient_ring(b)
-    by_quotient = (quotient.element(b.w(b.n).poly) ** k).is_zero()
-    if by_division != by_quotient:
-        raise InternalDisagreementError(
-            f"sphere-bundle routes disagree at k={k}: "
-            f"divisibility={by_division}, quotient={by_quotient}"
-        )
-    return by_division
+    vanishing statement up to k; raise on any mismatch, else return the
+    shared verdict."""
+    return _term(sphere_powers(b), k).is_zero()
 
 
 # -- symmetrized sphere criterion -------------------------------------------------
 
 
-def _t_reduce(coeffs: dict[int, Element], b: BundleSpec) -> dict[int, Element]:
-    """Remainder of a polynomial in t (coefficients in the base) under the
-    monic degree-(n+1) fibre relation, written t^(n+1) -> -(lower terms)."""
-    n = b.n
-    base = b.base
-    work = {j: c for j, c in coeffs.items() if not c.is_zero()}
-    while work:
-        top = max(work)
-        if top <= n:
-            break
-        lead = work.pop(top)
-        for j in range(n + 1):
-            # divisor coefficient of t^j is (-1)^(n+1+j) w_(n+1-j)
-            w = b.w(n + 1 - j).poly
-            sign = -1 if (n + 1 + j) % 2 else 1
-            delta = lead * (sign * w)
-            slot = top - (n + 1) + j
-            acc = work.get(slot, base.zero()) - delta
-            if acc.is_zero():
-                work.pop(slot, None)
-            else:
-                work[slot] = acc
-    return work
+def _t_division_powers(b: BundleSpec) -> Iterator[dict[int, Element]]:
+    """x_n^k for k = 0, 1, ..., as the nonzero base coefficients of t^j.
 
+    Each step multiplies by x_n = sum_j (-1)^j w_(n-j) t^j once and takes the
+    remainder under the monic fibre relation (-1)^(n+1) x_(n+1), written
+    t^(n+1) -> -(lower terms).
+    """
+    n, base = b.n, b.base
 
-def _symm_division_route(b: BundleSpec, k: int) -> bool:
-    """Compute x_n^k by long division in t over the base and test for zero."""
-    n = b.n
-    base = b.base
-    x_n = {}
-    for j in range(n + 1):
-        w = b.w(n - j).poly
-        x_n[j] = base.element((-1 if j % 2 else 1) * w)
-    power: dict[int, Element] = {0: base.one()}
-    for _ in range(k):
-        convolved: dict[int, Element] = {}
+    def coefficients(i: int, sign: int) -> dict[int, Element]:
+        return {j: base.element(sign * (-1) ** j * b.w(i - j).poly)
+                for j in range(i + 1) if not b.w(i - j).is_zero()}
+
+    x_n = coefficients(n, 1)
+    tail = coefficients(n + 1, (-1) ** (n + 1))
+    del tail[n + 1]
+    power = {0: base.one()}
+    while True:
+        yield power
+        work: dict[int, Element] = {}
         for i, c in power.items():
             for j, x in x_n.items():
-                acc = convolved.get(i + j, base.zero()) + c * x
-                convolved[i + j] = acc
-        power = _t_reduce(convolved, b)
-    return all(c.is_zero() for c in power.values())
+                work[i + j] = work.get(i + j, base.zero()) + c * x
+        while work and max(work) > n:
+            top = max(work)
+            lead = work.pop(top)
+            for j, w in tail.items():
+                slot = top - (n + 1) + j
+                work[slot] = work.get(slot, base.zero()) - lead * w
+        power = {j: c for j, c in work.items() if not c.is_zero()}
+
+
+def symm_sphere_powers(b: BundleSpec) -> Iterator[Element]:
+    """Powers of e(zeta) in the projectivization, each checked against x_n^k
+    by long division in t over the base."""
+    _require_real_f2(b, "the symmetrized sphere test")
+    _, e_zeta, _ = projective_of(b)
+    by_division = (not p for p in _t_division_powers(b))
+    return _lockstep("symmetrized sphere", powers(e_zeta), by_division,
+                     ("quotient", "long division"))
 
 
 def symm_sphere_test(b: BundleSpec, k: int) -> bool:
@@ -247,18 +302,7 @@ def symm_sphere_test(b: BundleSpec, k: int) -> bool:
     division by the monic fibre relation with base-reduced coefficients; the
     answers must agree.
     """
-    _require_real_f2(b, "the symmetrized sphere test")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    pres, e_zeta, _ = projective_of(b)
-    direct = (e_zeta ** k).is_zero()
-    by_division = _symm_division_route(b, k)
-    if direct != by_division:
-        raise InternalDisagreementError(
-            f"symmetrized sphere routes disagree at k={k}: "
-            f"quotient={direct}, long division={by_division}"
-        )
-    return direct
+    return _term(symm_sphere_powers(b), k).is_zero()
 
 
 # -- closed forms for low powers ---------------------------------------------------
@@ -325,6 +369,17 @@ def proj_pair_test(b: BundleSpec, k: int, coeffs: Coeffs | None = None) -> bool:
     return (e ** k).is_zero()
 
 
+def symm_proj_powers(b: BundleSpec) -> Iterator[Element]:
+    """Powers of e(alpha) in the unordered-pairs (Feder) ring, each checked
+    against the module-basis reduction: e(alpha)^k = 0 exactly when k >= 1
+    and w_d(beta)^(k-1) = Y^(k-1) = 0 in the plane ring."""
+    _, _, e_alpha, _ = feder_of(b)
+    _, y, _ = grassmann_of(b)
+    reduced = chain([False], (p.is_zero() for p in powers(y)))
+    return _lockstep("unordered-pairs", powers(e_alpha), reduced,
+                     ("direct", "plane-ring reduction"))
+
+
 def symm_proj_test(b: BundleSpec, k: int) -> bool:
     """Does e(alpha)^k vanish in the unordered-pairs (Feder) ring?
 
@@ -332,19 +387,7 @@ def symm_proj_test(b: BundleSpec, k: int) -> bool:
     exactly when w_d(beta)^(k-1) is nonzero in the plane ring -- and
     raises if the two verdicts differ.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    _, _, e_alpha, _ = feder_of(b)
-    direct = (e_alpha ** k).is_zero()
-    if k >= 1:
-        _, y, _ = grassmann_of(b)
-        reduced = (y ** (k - 1)).is_zero()
-        if direct != reduced:
-            raise InternalDisagreementError(
-                f"unordered-pairs routes disagree at k={k}: "
-                f"direct={direct}, plane-ring reduction={reduced}"
-            )
-    return direct
+    return _term(symm_proj_powers(b), k).is_zero()
 
 
 # -- the integral point-sphere table ------------------------------------------------

@@ -267,18 +267,7 @@ class Polynomial:
         return self + other
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.one()
-        base = self
-        e = exponent
-        while e:                      # square and multiply
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, exponent, self.ring.one())
 
     def _coerce(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -338,6 +327,21 @@ class Polynomial:
 
     def __str__(self) -> str:
         return render_polynomial(self)
+
+
+def power(base, exponent: int, one):
+    """``base ** exponent`` by square and multiply, for any type with ``*``
+    whose multiplicative identity is ``one``."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def render_polynomial(p: Polynomial) -> str:

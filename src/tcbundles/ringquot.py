@@ -26,7 +26,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from .polyalg import Coeffs, ExpVec, PolyRing, Polynomial, RingMismatchError
+from .polyalg import Coeffs, ExpVec, PolyRing, Polynomial, RingMismatchError, power
 
 
 class Strategy(Enum):
@@ -482,12 +482,7 @@ class Element:
         return self * other
 
     def __pow__(self, exponent: int) -> "Element":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = self.pres.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return power(self, exponent, self.pres.one())
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()

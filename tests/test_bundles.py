@@ -21,7 +21,6 @@ from tcbundles import (
     gaussian_binomial_two,
     grassmann_ring,
     make_bundle,
-    p_polynomial,
     point_presentation,
     projective_ring,
     projective_x_classes,
@@ -252,18 +251,18 @@ def p_table(coeffs: Coeffs) -> PPolyTable:
 def test_p_polynomials_small_f2():
     table = p_table(Coeffs.F2)
     ring = table.ring
-    assert p_polynomial(0, table) == ring.one()
-    assert p_polynomial(1, table) == ring.parse("Y")
-    assert p_polynomial(2, table) == ring.parse("Y^2 + Z")
-    assert p_polynomial(3, table) == ring.parse("Y^3")
-    assert p_polynomial(4, table) == ring.parse("Y^4 + Y^2*Z + Z^2")
+    assert table.p(0) == ring.one()
+    assert table.p(1) == ring.parse("Y")
+    assert table.p(2) == ring.parse("Y^2 + Z")
+    assert table.p(3) == ring.parse("Y^3")
+    assert table.p(4) == ring.parse("Y^4 + Y^2*Z + Z^2")
 
 
 def test_p_polynomials_small_integral():
     table = p_table(Coeffs.INT)
     ring = table.ring
-    assert p_polynomial(3, table) == ring.parse("Y^3 + 2*Y*Z")
-    assert p_polynomial(4, table) == ring.parse("Y^4 + 3*Y^2*Z + Z^2")
+    assert table.p(3) == ring.parse("Y^3 + 2*Y*Z")
+    assert table.p(4) == ring.parse("Y^4 + 3*Y^2*Z + Z^2")
 
 
 def test_p_polynomial_closed_form():
@@ -276,7 +275,7 @@ def test_p_polynomial_closed_form():
             for j in range(i // 2 + 1):
                 c = math.comb(i - j, j)
                 want = want + ring.monomial((i - 2 * j, j), c)
-            assert p_polynomial(i, table) == want
+            assert table.p(i) == want
 
 
 def test_p_xi_reduces_to_p_for_zero_classes():

@@ -57,7 +57,7 @@ def test_criteria_complex_machine(capsys):
     assert code == 0 and err == ""
     got = machine_map(out)
     assert got["field"] == "C"
-    assert got["k_max"] == "14"  # default 2 * rank * d + 2
+    assert got["k_max"] == "14"  # default max(2*rank*d + 2, dim_B/d + 2*rank - 2), dim_B = 0
     assert got["proj_pair_z.min_k"] == "4"
     assert got["proj_pair_z.witness_k"] == "3"
     assert got["proj_pair_z.witness"] == "6*S^2*T"
@@ -149,6 +149,26 @@ def test_kmax_flag_limits_the_search(capsys):
     assert got["proj_pair_f2.min_k"] == "not_found_up_to_5"
     assert got["proj_pair_f2.witness_k"] == "5"
     assert got["proj_pair_f2.witness"] == "S^2*T^3 + S^3*T^2"
+
+
+def test_default_bound_is_decisive_on_a_truncated_base(tmp_path, capsys):
+    # base F2[a:1, b:1, c:2] truncated at degree 6: the old bound 2*rank*d + 2
+    # = 8 stopped at not_found_up_to_8 for both projective criteria
+    path = write_spec(
+        tmp_path,
+        "field = R\nrank = 3\n[base]\ngenerator a 1\ngenerator b 1\n"
+        "generator c 2\ntruncation 6\n[classes]\nw1 = a+b\nw2 = a*b+c\nw3 = a*c\n",
+    )
+    code, out, err = run_cli(capsys, "criteria", path, "--machine")
+    assert code == 0 and err == ""
+    got = machine_map(out)
+    assert got["k_max"] == "10"
+    assert got["sphere_divisibility.min_k"] == "4"
+    assert got["symm_sphere.min_k"] == "5"
+    assert got["proj_pair_f2.min_k"] == "9"
+    assert got["proj_pair_f2.witness_k"] == "8"
+    assert got["symm_proj.min_k"] == "10"
+    assert got["symm_proj.witness_k"] == "9"
 
 
 def test_coeffs_flag_overrides_the_ring(capsys):

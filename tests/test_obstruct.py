@@ -16,6 +16,8 @@ from tcbundles import (
     Presentation,
     Strategy,
     closed_form_check,
+    Element,
+    InternalDisagreementError,
     default_k_max,
     euler_power_x_coordinates,
     gysin_equivalence_check,
@@ -29,7 +31,18 @@ from tcbundles import (
     symm_sphere_test,
     trivial_bundle,
 )
-from tcbundles.obstruct import projective_of, q_tilde_of
+from tcbundles.cli import parse_spec_file
+from tcbundles.obstruct import (
+    feder_of,
+    first_vanishing,
+    grassmann_of,
+    powers,
+    projective_of,
+    q_tilde_of,
+    sphere_powers,
+    symm_proj_powers,
+    symm_sphere_powers,
+)
 from tcbundles.ringquot import _monomials_of_degree
 
 from oracles import f2_ideal_member
@@ -352,3 +365,121 @@ def test_divisibility_matches_ideal_membership():
                 continue
             want = f2_ideal_member(ring, ideal, target) if ideal else target.is_zero()
             assert sphere_divisibility_test(b, k) == want
+
+
+# -- the power sequences behind every criterion -----------------------------------------
+
+
+SHIPPED_SPECS = ("complex_n2", "milnor_r2", "peterson_r1", "rp3_bundle")
+
+
+def criterion_sequences(b):
+    """(name, power sequence, Euler class) for every criterion that applies."""
+    out = []
+    if b.field is KField.R:
+        w_n = sphere_quotient_ring(b).element(b.w(b.n).poly)
+        out.append(("sphere_divisibility", sphere_powers(b), w_n))
+        out.append(("symm_sphere", symm_sphere_powers(b), projective_of(b)[1]))
+    coeffs = [Coeffs.INT, Coeffs.F2] if b.base.ring.coeffs is Coeffs.INT else [Coeffs.F2]
+    for c in coeffs:
+        e = q_tilde_of(b, c)[1]
+        out.append((f"proj_pair_{c.value}", powers(e), e))
+    out.append(("symm_proj", symm_proj_powers(b), feder_of(b)[2]))
+    return out
+
+
+def brute_force_vanishing(e, k_max):
+    """The least k <= k_max with e ** k = 0 and the witness e ** (k - 1),
+    else NotFoundUpTo(k_max) and e ** k_max, each power computed afresh."""
+    for k in range(k_max + 1):
+        if (e ** k).is_zero():
+            return k, (e ** (k - 1) if k else None)
+    return NotFoundUpTo(k_max), e ** k_max
+
+
+def shipped_and_random_bundles():
+    bundles = [parse_spec_file(f"specs/{name}.spec").bundle for name in SHIPPED_SPECS]
+    rng = random.Random(43)
+    bundles += [random_real_bundle(rng, 3) for _ in range(8)]
+    return bundles
+
+
+def test_sequences_match_brute_force_powers():
+    for b in shipped_and_random_bundles():
+        for k_max in (2, default_k_max(b)):
+            for name, seq, e in criterion_sequences(b):
+                got = first_vanishing(seq, k_max)
+                assert got == brute_force_vanishing(e, k_max), (b, name, k_max)
+                if k_max == default_k_max(b):
+                    assert isinstance(got[0], int), (b, name)  # decisive
+
+
+def test_first_vanishing_reads_no_term_past_k_max():
+    pres, e = q_tilde_of(trivial_bundle(KField.R, 5))
+    read = []
+
+    def logged():
+        for k, power in enumerate(powers(e)):
+            read.append(k)
+            yield power
+
+    assert first_vanishing(logged(), 3) == (NotFoundUpTo(3), e ** 3)
+    assert read == [0, 1, 2, 3]
+    assert first_vanishing(powers(pres.zero()), 0) == (NotFoundUpTo(0), pres.one())
+    assert first_vanishing(powers(pres.zero()), 5) == (1, pres.one())
+    with pytest.raises(ValueError):
+        first_vanishing(powers(e), -1)
+
+
+def test_proj_pair_search_makes_one_multiplication_per_power(monkeypatch):
+    calls = []
+    multiply = Element.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    for rank in (3, 5, 9, 17):
+        b = trivial_bundle(KField.R, rank)
+        _, e = q_tilde_of(b, Coeffs.F2)  # warm the ring cache
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Element, "__mul__", counted)
+            min_k, _ = first_vanishing(powers(e), default_k_max(b))
+        assert min_k == 2 * (rank - 1) - 1
+        assert len(calls) == min_k
+
+
+def test_disagreeing_route_raises_at_the_first_mismatch(monkeypatch):
+    # over R^5, Y^6 != 0 = Y^7 in the plane ring and e(alpha)^8 is the first
+    # zero power; handing the reduction route Y^2 in place of Y makes it
+    # claim e(alpha)^5 = 0, which the direct route refutes at k = 5
+    from tcbundles import obstruct
+
+    b = trivial_bundle(KField.R, 5)
+    pres, y, z = grassmann_of(b)
+    monkeypatch.setattr(obstruct, "grassmann_of", lambda _b: (pres, y * y, z))
+    with pytest.raises(InternalDisagreementError, match="k=5"):
+        first_vanishing(symm_proj_powers(b), default_k_max(b))
+
+
+def test_default_k_max_reaches_the_nilpotency_degree():
+    # every criterion ring with a finite top degree kills its Euler class by
+    # top // deg e + 1, and the default bound is never below that
+    rng = random.Random(47)
+    bundles = [random_real_bundle(rng, 3) for _ in range(12)]
+    bundles += [trivial_bundle(f, r) for f in KField for r in (2, 3, 4)]
+    for b in bundles:
+        for name, _, e in criterion_sequences(b):
+            top = e.pres.top_degree()
+            if e.is_zero() or top is None:
+                continue
+            assert default_k_max(b) >= top // e.degree() + 1, (b, name)
+
+
+def test_default_k_max_rule():
+    assert default_k_max(trivial_bundle(KField.C, 3)) == 14
+    assert default_k_max(rp4_line_bundle()) == max(2 * 2 + 2, 3 + 2 * 2 - 2)
+    base = truncated_base([("a", 1), ("b", 1), ("c", 2)], 8)
+    b = make_bundle(KField.R, 3, base, {1: "a+b", 2: "a*b+c", 3: "a*c"})
+    assert default_k_max(b) == 12

@@ -132,6 +132,19 @@ def test_element_arithmetic_and_coercion():
     assert hash(pres.element("T")) == hash(t)
 
 
+def test_element_pow_matches_repeated_multiplication():
+    # square and multiply lands on the same canonical normal form as the
+    # product e * e * ... * e, in a monic tower and in a Groebner quotient
+    for pres, text in ((milnor_ring(4), "T + S"), (planes_of_r3(), "Y + Z")):
+        e = pres.element(text)
+        product = pres.one()
+        for k in range(10):
+            assert e ** k == product
+            product = product * e
+    with pytest.raises(ValueError):
+        milnor_ring(2).element("T") ** -1
+
+
 def test_element_cross_presentation_mismatch():
     from tcbundles import RingMismatchError
 
