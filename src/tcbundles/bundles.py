@@ -29,10 +29,10 @@ from typing import Mapping, Sequence
 from .polyalg import Coeffs, PolyRing, Polynomial
 from .ringquot import (
     Element,
-    ModuleBasisError,
     Presentation,
     Strategy,
     point_presentation,
+    verify_cell_dimensions,
 )
 
 
@@ -348,24 +348,18 @@ class PPolyTable:
         return self._p_xi[i]
 
 
-def _grassmann_setup(b: BundleSpec, extra_gens, truncation: int | None):
+def _grassmann_setup(b: BundleSpec, extra_gens: Sequence[tuple[str, int]]):
     b = _with_coeffs(b, Coeffs.F2)
     n, d = b.n, b.d
+    budget = 2 * n * d + d + 1
+    ring, rels, _, truncation = _extend_presentation(
+        b.base, [("Y", d), ("Z", 2 * d)] + list(extra_gens), budget
+    )
     if truncation is None:
-        dim_b = b.base.truncation
-        if dim_b is None:
-            dim_b = b.base.top_degree()
-        if dim_b is None:
-            raise BundleError(
-                "base has unbounded degrees; supply an explicit truncation"
-            )
-        truncation = dim_b + 2 * n * d + d + 1
-    gens = [("Y", d), ("Z", 2 * d)] + list(extra_gens)
-    ring = b.base.ring.with_generators(gens)
-    rels = [r.lift(ring) for r in b.base.relations]
-    if b.base.truncation is not None:
-        base_indices = [ring.index(nm) for nm in b.base.ring.names]
-        rels.extend(_truncation_monomials(ring, base_indices, b.base.truncation))
+        top = b.base.top_degree()
+        if top is None:
+            raise BundleError("base has unbounded degrees; give it a truncation")
+        truncation = top + budget
     classes = [b.w(j).poly.lift(ring) for j in range(0, n + 2)]
     table = PPolyTable(ring, ring.gen("Y"), ring.gen("Z"), classes)
     rels.append(table.p_xi(n))
@@ -403,62 +397,47 @@ def gaussian_binomial_two(m: int) -> list[int]:
     return g(m, 2)
 
 
-def grassmann_ring(
-    b: BundleSpec, truncation: int | None = None, verify: bool = True
-) -> tuple[Presentation, Element, Element]:
+def _plane_cells(b: BundleSpec) -> list[int]:
+    """Fibre cells of the plane bundle by degree: [n+1 choose 2]_q in q = t^d."""
+    cells: list[int] = []
+    for c in gaussian_binomial_two(b.n + 1):
+        cells += [c] + [0] * (b.d - 1)
+    return cells
+
+
+def grassmann_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
     """F2 cohomology of the bundle of 2-dimensional K-subspaces.
 
     Generators ``Y`` (degree d) and ``Z`` (degree 2d); relations
     ``p_n^xi(Y, Z)`` and ``Z * p_(n-1)^xi(Y, Z) + w_((n+1)d)``.  The quotient
     is a free module over the base whose rank in each degree matches the
-    Gaussian binomial [n+1 choose 2]_q; with ``verify`` the dimensions are
-    checked degree by degree.
+    Gaussian binomial [n+1 choose 2]_q; the dimensions are checked degree by
+    degree.
     """
-    b2, ring, rels, trunc = _grassmann_setup(b, [], truncation)
+    b2, ring, rels, trunc = _grassmann_setup(b, [])
     pres = Presentation(ring, rels, Strategy.GROEBNER_F2, trunc).complete()
-    if verify:
-        cells = gaussian_binomial_two(b2.n + 1)
-        d = b2.d
-        for m in range(trunc + 1):
-            want = sum(
-                c * b2.base.dimension(m - d * e)
-                for e, c in enumerate(cells)
-                if c and m - d * e >= 0
-            )
-            got = pres.dimension(m)
-            if got != want:
-                raise ModuleBasisError(
-                    f"plane-bundle ring fails freeness at degree {m}: {got} != {want}"
-                )
+    verify_cell_dimensions(pres, b2.base, _plane_cells(b2), trunc, "plane-bundle ring")
     return pres, pres.element(ring.gen("Y")), pres.element(ring.gen("Z"))
 
 
-def feder_ring(
-    b: BundleSpec, truncation: int | None = None, verify: bool = True
-) -> tuple[Presentation, Element, Element, Element]:
+def feder_ring(b: BundleSpec) -> tuple[Presentation, Element, Element, Element]:
     """F2 cohomology of the space of unordered pairs of orthogonal lines.
 
     Adds ``X`` of degree 1 (Euler class of the swap line bundle) to the plane
     ring, with the extra relation ``X (X^d + Y)``.  The result is free over
-    the plane ring with basis ``1, X, ..., X^d`` (checked degreewise when
-    ``verify`` is set).  Returns ``(presentation, e_lambda, e_alpha,
-    w_d_beta)`` where ``e_lambda = X``, ``e_alpha = Y + X^d`` and
-    ``w_d_beta = Y``.
+    the plane ring with basis ``1, X, ..., X^d``, hence free over the base
+    with fibre cells [n+1 choose 2]_(q^d) * (1 + q + ... + q^d); the
+    dimensions are checked degree by degree.  Returns ``(presentation,
+    e_lambda, e_alpha, w_d_beta)`` where ``e_lambda = X``, ``e_alpha = Y +
+    X^d`` and ``w_d_beta = Y``.
     """
-    b2, ring, rels, trunc = _grassmann_setup(b, [("X", 1)], truncation)
+    b2, ring, rels, trunc = _grassmann_setup(b, [("X", 1)])
     x = ring.gen("X")
     rels.append(x ** (b2.d + 1) + x * ring.gen("Y"))
     pres = Presentation(ring, rels, Strategy.GROEBNER_F2, trunc).complete()
-    if verify:
-        plane, _, _ = grassmann_ring(b, truncation=trunc, verify=False)
-        for m in range(trunc + 1):
-            want = sum(plane.dimension(m - j) for j in range(b2.d + 1))
-            got = pres.dimension(m)
-            if got != want:
-                raise ModuleBasisError(
-                    f"pair ring fails freeness over the plane ring at degree {m}: "
-                    f"{got} != {want}"
-                )
+    plane = _plane_cells(b2)
+    cells = [sum(plane[max(0, m - b2.d):m + 1]) for m in range(len(plane) + b2.d)]
+    verify_cell_dimensions(pres, b2.base, cells, trunc, "pair ring")
     e_lambda = pres.element(x)
     e_alpha = pres.element(ring.gen("Y") + x ** b2.d)
     w_d_beta = pres.element(ring.gen("Y"))

@@ -167,6 +167,8 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
             key, value = key.strip().lower(), value.strip()
             if key == "kmax":
                 k_max = _parse_header_value("kmax", value, path, line_no)
+                if k_max < 0:
+                    raise SpecFileError(f"kmax must be >= 0, got {k_max}", path, line_no)
             elif key == "coeffs":
                 if coeffs_override is None:
                     coeffs = _parse_header_value("coeffs", value, path, line_no)
@@ -386,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "criteria":
+            if args.kmax is not None and args.kmax < 0:
+                print(f"error: --kmax must be >= 0, got {args.kmax}", file=sys.stderr)
+                return 2
             spec = parse_spec_file(args.spec, _coeffs_flag(args.coeffs))
             k_max = args.kmax if args.kmax is not None else (
                 spec.k_max if spec.k_max is not None else default_k_max(spec.bundle)
@@ -395,12 +400,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(line)
             return 0
         if args.command == "planner":
-            try:
-                planner = build_sphere_planner(args.n)
-            except GeometryError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            report = verify_planner(planner, args.samples, args.seed)
+            report = verify_planner(build_sphere_planner(args.n), args.samples, args.seed)
             if args.machine:
                 for line in report.lines():
                     print(line)
@@ -418,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BundleError, PresentationError, GradingError) as exc:
+    except (BundleError, PresentationError, GradingError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalDisagreementError as exc:

@@ -396,6 +396,8 @@ def build_sphere_planner(n: int, k: int = 1) -> Planner:
     an even sphere has no nowhere-zero tangent section, and no alternative
     section construction is provided here.
     """
+    if n < 1:
+        raise GeometryError(f"n must be >= 1, got {n}")
     if n % 2 == 0:
         raise GeometryError(
             "no planner for even n: the complex-structure section needs odd n"
@@ -473,6 +475,8 @@ def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:
     first accepting rule at resolution 1/256 against lipschitz/256 + 1e-6,
     and geodesic equivariance under random orthogonal maps.
     """
+    if samples < 1:
+        raise GeometryError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     dim = planner.n + 1
     us = _random_units(rng, samples, dim)

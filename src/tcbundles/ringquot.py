@@ -1,20 +1,24 @@
 """Graded quotient rings presented by generators and homogeneous relations.
 
-Two normal-form strategies cover every presentation used here:
+One reducer serves every presentation, over F2 and over Z: the completed
+relations are a Groebner basis in graded-lex order (later generators
+larger) with leading coefficients +1, and a polynomial is rewritten from
+its largest monomial down.  ``Strategy`` only validates and completes:
 
 ``MONIC_TOWER``
-    Each relation is monic in its own *designated* generator: it has a single
-    leading term ``g^m`` with unit coefficient, and every other term involves
-    strictly earlier generators and lower powers of ``g``.  The quotient is
-    then a free module over the subring of earlier generators with basis
-    ``1, g, ..., g^(m-1)``, and iterated division computes a canonical normal
-    form.  All integral presentations take this shape.
+    Each relation is monic in its own *designated* generator: a single
+    leading term ``g^m`` with unit coefficient, every other term in strictly
+    earlier generators and lower powers of ``g``.  Such leads are pairwise
+    coprime, so by Buchberger's first criterion the tower is already a
+    Groebner basis.  The quotient is free over the subring of earlier
+    generators with basis ``1, g, ..., g^(m-1)``.  All integral
+    presentations take this shape.
 
 ``GROEBNER_F2``
-    Truncated Buchberger completion over F2 in graded-lex order (later
-    generators larger).  Only S-pairs whose lcm degree stays within the
-    truncation bound are processed; since all relations are homogeneous this
-    yields normal forms that are canonical up to the truncation degree.
+    Truncated Buchberger completion over F2.  Only S-pairs whose lcm degree
+    stays within the truncation bound are processed; since all relations are
+    homogeneous this yields normal forms that are canonical up to the
+    truncation degree.
 
 A presentation may carry a ``truncation`` degree: every element of weighted
 degree above it is zero in the quotient.  The truncation is semantic, i.e. it
@@ -23,13 +27,17 @@ is part of the ring being presented, not a computational shortcut.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Iterator, Mapping, Sequence
 
 from .polyalg import Coeffs, ExpVec, PolyRing, Polynomial, RingMismatchError, power
 
 
 class Strategy(Enum):
+    """How relations are validated and completed; reduction ignores it."""
+
     MONIC_TOWER = "monic_tower"
     GROEBNER_F2 = "groebner_f2"
 
@@ -71,7 +79,7 @@ class Presentation:
     """
 
     __slots__ = ("ring", "relations", "strategy", "truncation", "completed",
-                 "_tower_rules", "_hash")
+                 "_basis", "_hash")
 
     def __init__(
         self,
@@ -102,12 +110,12 @@ class Presentation:
         self.truncation = truncation
         self.completed = _completed
         if strategy is Strategy.MONIC_TOWER:
-            rels, rules = _tower_normalize(ring, rels)
-            self.relations = tuple(rels)
-            self._tower_rules = rules
-        else:
-            self.relations = tuple(rels)
-            self._tower_rules = None
+            rels = _tower_normalize(ring, rels)
+        self.relations = tuple(rels)
+        # (lead, tail) pairs for the reducer, built once per completed ring
+        self._basis = (
+            tuple(_lead_and_tail(r.terms, ring) for r in rels) if _completed else ()
+        )
         self._hash: int | None = None
 
     # -- completion -----------------------------------------------------------
@@ -135,9 +143,8 @@ class Presentation:
             raise PresentationError("presentation must be completed first")
         if p.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
-        if self.strategy is Strategy.MONIC_TOWER:
-            return _tower_reduce(self, p)
-        return _groebner_reduce(self, p)
+        reduced = _reduce(p.terms, self._basis, self.ring, self.truncation)
+        return Polynomial(self.ring, reduced)
 
     def element(self, p: "Polynomial | str | int") -> "Element":
         if isinstance(p, str):
@@ -158,14 +165,7 @@ class Presentation:
         """Exponent vectors whose multiples are killed by reduction."""
         if not self.completed:
             raise PresentationError("presentation must be completed first")
-        if self.strategy is Strategy.MONIC_TOWER:
-            out = []
-            for gidx, power, _ in self._tower_rules:
-                exps = [0] * self.ring.ngens
-                exps[gidx] = power
-                out.append(tuple(exps))
-            return out
-        return [r.leading_exponents() for r in self.relations]
+        return [lead for lead, _ in self._basis]
 
     def standard_monomials(self, degree: int) -> list[ExpVec]:
         """Monomial basis of the quotient in one weighted degree."""
@@ -244,14 +244,11 @@ def point_presentation(coeffs: Coeffs = Coeffs.F2) -> Presentation:
     return free_presentation(coeffs, ())
 
 
-# -- monic tower internals ------------------------------------------------------------
+# -- validation of towers ---------------------------------------------------------------
 
 
-def _tower_normalize(
-    ring: PolyRing, relations: list[Polynomial]
-) -> tuple[list[Polynomial], tuple]:
-    """Validate tower shape; normalize leading units to +1; build rewrite rules."""
-    rules = []
+def _tower_normalize(ring: PolyRing, relations: list[Polynomial]) -> list[Polynomial]:
+    """Validate tower shape and normalize leading units to +1."""
     seen: set[int] = set()
     normalized: list[Polynomial] = []
     for rel in relations:
@@ -279,77 +276,73 @@ def _tower_normalize(
                 f"two relations are monic in the same generator {ring.names[gidx]!r}"
             )
         seen.add(gidx)
-        if lc == -1:
-            rel = -rel
-        normalized.append(rel)
-        # g^power rewrites to -(tail).
-        tail = rel - ring.monomial(lead_exps)
-        repl = {e: -c for e, c in tail.terms.items()}
-        rules.append((gidx, power, repl))
-    rules.sort(key=lambda r: -r[0])
-    return normalized, tuple(rules)
+        normalized.append(-rel if lc == -1 else rel)
+    return normalized
 
 
-def _tower_reduce(pres: Presentation, p: Polynomial) -> Polynomial:
-    ring = pres.ring
-    trunc = pres.truncation
-    rules = pres._tower_rules
-    out: dict[ExpVec, int] = {}
-    stack = list(p.terms.items())
-    while stack:
-        exps, coeff = stack.pop()
-        if coeff == 0:
-            continue
-        if trunc is not None and ring.weighted_degree(exps) > trunc:
-            continue
-        for gidx, power, repl in rules:
-            if exps[gidx] >= power:
-                rest = list(exps)
-                rest[gidx] -= power
-                for rexps, rc in repl.items():
-                    stack.append((_exps_shift(tuple(rest), rexps), coeff * rc))
-                break
-        else:
-            out[exps] = out.get(exps, 0) + coeff
-    return Polynomial(ring, out)
+# -- reduction and completion ------------------------------------------------------------
+
+# A basis element (lead, tail) stands for the relation lead + tail, whose
+# leading monomial ``lead`` has coefficient +1; ``tail`` is a tuple of
+# (monomial, coefficient) pairs, all smaller than ``lead``.
+_BasisElement = tuple[ExpVec, tuple[tuple[ExpVec, int], ...]]
 
 
-# -- F2 Groebner internals --------------------------------------------------------------
+def _lead_and_tail(terms: Mapping[ExpVec, int], ring: PolyRing) -> _BasisElement:
+    lead = max(terms, key=ring.order_key)
+    return lead, tuple((e, c) for e, c in terms.items() if e != lead)
 
 
-def _f2_add(a: dict[ExpVec, int], b_keys: Iterable[ExpVec]) -> None:
-    for k in b_keys:
-        if k in a:
-            del a[k]
-        else:
-            a[k] = 1
+def _descending(exps: ExpVec) -> ExpVec:
+    """Heap key that pops the graded-lex largest monomial of a degree first."""
+    return tuple([-x for x in exps[::-1]])
 
 
-def _f2_leading(terms: dict[ExpVec, int], ring: PolyRing) -> ExpVec:
-    return max(terms, key=ring.order_key)
-
-
-def _f2_full_reduce(
-    terms: dict[ExpVec, int],
-    basis: list[tuple[ExpVec, dict[ExpVec, int]]],
+def _reduce(
+    terms: Mapping[ExpVec, int],
+    basis: Sequence[_BasisElement],
     ring: PolyRing,
     trunc: int | None,
 ) -> dict[ExpVec, int]:
-    """Fully reduce an F2 polynomial (dict of monomials) by the basis."""
-    work = dict(terms)
+    """Fully reduce a polynomial (map of monomials to coefficients) by a basis.
+
+    Terms are taken from the largest monomial down with their coefficients
+    merged, so each monomial is reduced at most once; a monomial divisible by
+    a lead is replaced by the shifted, negated tail of the first such basis
+    element.  Relations are homogeneous, so a rewrite stays in the degree of
+    the monomial it replaces: terms above ``trunc`` are dropped on entry, and
+    a heap keyed on the reversed exponents alone orders every degree.
+    """
+    mod2 = ring.coeffs is Coeffs.F2
+    work = {e: c for e, c in terms.items()
+            if trunc is None or ring.weighted_degree(e) <= trunc}
+    heap = [(_descending(e), e) for e in work]
+    heapify(heap)
+    # divisibility only needs the nonzero exponents of each lead; a tower's
+    # lead g^m has one
+    divisors = [([(i, x) for i, x in enumerate(lead) if x], lead, tail)
+                for lead, tail in basis]
     out: dict[ExpVec, int] = {}
-    while work:
-        m = _f2_leading(work, ring)
-        del work[m]
-        if trunc is not None and ring.weighted_degree(m) > trunc:
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m)
+        if mod2:
+            c &= 1
+        if not c:
             continue
-        for lt, bterms in basis:
-            if _exps_divides(lt, m):
-                shift = _exps_diff(m, lt)
-                _f2_add(work, (_exps_shift(e, shift) for e in bterms if e != lt))
+        for support, lead, tail in divisors:
+            if all([m[i] >= x for i, x in support]):
+                shift = _exps_diff(m, lead)
+                for e, tc in tail:
+                    s = _exps_shift(e, shift)
+                    if s in work:
+                        work[s] -= c * tc
+                    else:
+                        work[s] = -c * tc
+                        heappush(heap, (_descending(s), s))
                 break
         else:
-            out[m] = 1
+            out[m] = c
     return out
 
 
@@ -357,15 +350,11 @@ def _buchberger(
     ring: PolyRing, relations: Sequence[Polynomial], trunc: int | None
 ) -> tuple[Polynomial, ...]:
     """Truncated Buchberger completion for homogeneous F2 ideals."""
-    basis: list[tuple[ExpVec, dict[ExpVec, int]]] = []
-
-    def push(terms: dict[ExpVec, int]) -> None:
-        if terms:
-            basis.append((_f2_leading(terms, ring), terms))
-
+    basis: list[_BasisElement] = []
     for r in relations:
-        reduced = _f2_full_reduce(dict(r.terms), basis, ring, trunc)
-        push(reduced)
+        reduced = _reduce(r.terms, basis, ring, trunc)
+        if reduced:
+            basis.append(_lead_and_tail(reduced, ring))
 
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
@@ -376,19 +365,20 @@ def _buchberger(
             reverse=True,
         )
         i, j = pairs.pop()
-        lt_i, f_i = basis[i]
-        lt_j, f_j = basis[j]
+        lt_i, tail_i = basis[i]
+        lt_j, tail_j = basis[j]
         if _exps_coprime(lt_i, lt_j):
             continue
         lcm = _exps_lcm(lt_i, lt_j)
         if trunc is not None and ring.weighted_degree(lcm) > trunc:
             continue
-        spoly: dict[ExpVec, int] = {}
-        _f2_add(spoly, (_exps_shift(e, _exps_diff(lcm, lt_i)) for e in f_i))
-        _f2_add(spoly, (_exps_shift(e, _exps_diff(lcm, lt_j)) for e in f_j))
-        reduced = _f2_full_reduce(spoly, basis, ring, trunc)
+        # the two leads both shift to lcm and cancel; _reduce takes the
+        # merged tail counts mod 2
+        spoly = Counter(_exps_shift(e, _exps_diff(lcm, lt))
+                        for lt, tail in ((lt_i, tail_i), (lt_j, tail_j)) for e, _ in tail)
+        reduced = _reduce(spoly, basis, ring, trunc)
         if reduced:
-            basis.append((_f2_leading(reduced, ring), reduced))
+            basis.append(_lead_and_tail(reduced, ring))
             new = len(basis) - 1
             pairs.extend((k, new) for k in range(new))
 
@@ -396,25 +386,19 @@ def _buchberger(
     changed = True
     while changed:
         changed = False
-        for idx in range(len(basis)):
-            lt, terms = basis[idx]
+        for idx, (lead, tail) in enumerate(basis):
+            terms = {lead: 1, **dict(tail)}
             rest = basis[:idx] + basis[idx + 1:]
-            reduced = _f2_full_reduce(terms, rest, ring, trunc)
+            reduced = _reduce(terms, rest, ring, trunc)
             if reduced != terms:
                 changed = True
                 basis = rest
                 if reduced:
-                    basis.append((_f2_leading(reduced, ring), reduced))
+                    basis.append(_lead_and_tail(reduced, ring))
                 break
-    polys = [Polynomial(ring, terms) for _, terms in basis]
+    polys = [Polynomial(ring, {lead: 1, **dict(tail)}) for lead, tail in basis]
     polys.sort(key=lambda p: ring.order_key(p.leading_exponents()))
     return tuple(polys)
-
-
-def _groebner_reduce(pres: Presentation, p: Polynomial) -> Polynomial:
-    basis = [(r.leading_exponents(), dict(r.terms)) for r in pres.relations]
-    reduced = _f2_full_reduce(dict(p.terms), basis, pres.ring, pres.truncation)
-    return Polynomial(pres.ring, reduced)
 
 
 def _monomials_of_degree(ring: PolyRing, degree: int) -> Iterator[ExpVec]:
@@ -577,11 +561,23 @@ def verify_free_basis(
             raise ModuleBasisError("max_degree required for untruncated presentations")
         max_degree = pres.truncation
     gdeg = pres.ring.degrees[pres.ring.index(gen_name)]
-    for m in range(max_degree + 1):
+    cells = [0] * (max_power * gdeg + 1)
+    cells[::gdeg] = [1] * (max_power + 1)
+    verify_cell_dimensions(pres, sub, cells, max_degree, f"free basis in {gen_name}")
+
+
+def verify_cell_dimensions(
+    pres: Presentation, base: Presentation, cells: Sequence[int], top: int, what: str
+) -> None:
+    """Check that ``pres`` has the degreewise dimensions of a free module over
+    ``base`` whose basis has ``cells[e]`` elements in degree e, in every
+    degree up to ``top``.
+
+    Raises :class:`ModuleBasisError` at the first degree where they differ.
+    """
+    base_dims = [base.dimension(m) for m in range(top + 1)]
+    for m in range(top + 1):
+        want = sum(c * base_dims[m - e] for e, c in enumerate(cells[:m + 1]))
         got = pres.dimension(m)
-        want = sum(sub.dimension(m - j * gdeg) for j in range(max_power + 1))
         if got != want:
-            raise ModuleBasisError(
-                f"free basis fails at degree {m}: quotient has dimension {got}, "
-                f"module decomposition predicts {want}"
-            )
+            raise ModuleBasisError(f"{what} fails freeness at degree {m}: {got} != {want}")

@@ -154,3 +154,46 @@ def gaussian_binomial_series(m: int, terms: int) -> list[int]:
     num = div_one_minus(num, 2)
     assert all(c.denominator == 1 for c in num)
     return [int(c) for c in num]
+
+
+# -- rewriting modulo a monic tower ---------------------------------------------------
+
+
+def tower_normal_form(relations: list[Polynomial], p: Polynomial,
+                      truncation: int | None = None) -> Polynomial:
+    """Normal form of ``p`` modulo a monic tower, by unmerged stack rewriting.
+
+    Each relation is ``lc * g^m + rest`` with ``lc = +-1``, where ``g`` is
+    the last generator it involves, so ``g^m`` rewrites to ``-lc * rest``.
+    Terms are popped one at a time, rewritten by the latest applicable
+    generator and pushed back without merging coefficients; terms above the
+    truncation degree are dropped.  Works over F2 and over Z.
+    """
+    ring = p.ring
+    rules = []
+    for rel in relations:
+        gidx = max(i for exps in rel.terms for i, e in enumerate(exps) if e > 0)
+        power = max(exps[gidx] for exps in rel.terms)
+        lead = tuple(power if i == gidx else 0 for i in range(ring.ngens))
+        lc = rel.coefficient(lead)
+        repl = {e: -lc * c for e, c in rel.terms.items() if e != lead}
+        rules.append((gidx, power, repl))
+    rules.sort(key=lambda r: -r[0])
+    out: dict = {}
+    stack = list(p.terms.items())
+    while stack:
+        exps, coeff = stack.pop()
+        if coeff == 0:
+            continue
+        if truncation is not None and ring.weighted_degree(exps) > truncation:
+            continue
+        for gidx, power, repl in rules:
+            if exps[gidx] >= power:
+                rest = list(exps)
+                rest[gidx] -= power
+                for rexps, rc in repl.items():
+                    stack.append((tuple(a + b for a, b in zip(rest, rexps)), coeff * rc))
+                break
+        else:
+            out[exps] = out.get(exps, 0) + coeff
+    return Polynomial(ring, out)

@@ -351,7 +351,7 @@ def generic_truncated_bundle(n: int, trunc: int) -> BundleSpec:
 def test_grassmann_relations_homogeneous_and_verified():
     for n in (1, 2, 3):
         b = generic_truncated_bundle(n, 6)
-        pres, _, _ = grassmann_ring(b)  # verify=True checks freeness degreewise
+        pres, _, _ = grassmann_ring(b)  # checks freeness over the base degreewise
         for r in pres.relations:
             assert r.is_homogeneous()
 
@@ -386,7 +386,7 @@ def test_feder_x_relation():
 
 
 def test_feder_free_over_planes_basis():
-    # verify=True re-checks 1, X, ..., X^d freeness; run it on a nontrivial base
+    # feder_ring checks the free-module dimensions; run it on a nontrivial base
     m, n = 2, 1
     base = rp_base(m)
     b = make_bundle(KField.R, n + 1, base, {1: "x"})

@@ -151,6 +151,19 @@ def test_kmax_flag_limits_the_search(capsys):
     assert got["proj_pair_f2.witness"] == "S^2*T^3 + S^3*T^2"
 
 
+def test_negative_kmax_flag_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "criteria", MILNOR, "--kmax", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--kmax" in err
+
+
+def test_negative_kmax_option_reports_line(tmp_path, capsys):
+    path = write_spec(tmp_path, "field = R\nrank = 2\n[options]\nkmax = -3\n")
+    code, out, err = run_cli(capsys, "criteria", path, "--machine")
+    assert code == 2 and out == ""
+    assert f"{path}:4:" in err and "kmax" in err
+
+
 def test_default_bound_is_decisive_on_a_truncated_base(tmp_path, capsys):
     # base F2[a:1, b:1, c:2] truncated at degree 6: the old bound 2*rank*d + 2
     # = 8 stopped at not_found_up_to_8 for both projective criteria
@@ -338,6 +351,20 @@ def test_planner_even_sphere_exits_2(capsys):
     code, out, err = run_cli(capsys, "planner", "--n", "2", "--samples", "10")
     assert code == 2 and out == ""
     assert "section" in err
+
+
+def test_planner_needs_a_positive_sample_count(capsys):
+    for samples in ("0", "-5"):
+        code, out, err = run_cli(capsys, "planner", "--n", "3", "--samples", samples,
+                                 "--machine")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "samples" in err
+
+
+def test_planner_needs_a_positive_sphere_dimension(capsys):
+    code, out, err = run_cli(capsys, "planner", "--n", "-1", "--samples", "5", "--machine")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "n must be" in err
 
 
 def test_planner_human_output(capsys):

@@ -1,5 +1,7 @@
 """Presented quotient rings: completion, normal forms, module bases."""
 
+import random
+
 import pytest
 
 from tcbundles import (
@@ -17,8 +19,9 @@ from tcbundles import (
     point_presentation,
     verify_free_basis,
 )
+from tcbundles.ringquot import _monomials_of_degree, verify_cell_dimensions
 
-from oracles import f2_ideal_member, f2_quotient_dimension
+from oracles import f2_ideal_member, f2_quotient_dimension, tower_normal_form
 
 
 def milnor_ring(n: int) -> Presentation:
@@ -325,6 +328,23 @@ def test_verify_free_basis_detects_failure():
         verify_free_basis(pres, "t", 1, max_degree=6)  # true basis needs t^2
 
 
+def test_cell_dimension_check_fails_at_the_first_wrong_degree():
+    # F2[a, X]/(X^2) truncated at 4 over the base F2[a] truncated at 2: fibre
+    # cells 1 + q agree in degrees 0..2, but a^3 survives in degree 3
+    base = Presentation(PolyRing(Coeffs.F2, [("a", 1)]), [], Strategy.GROEBNER_F2,
+                        truncation=2).complete()
+    ring = PolyRing(Coeffs.F2, [("a", 1), ("X", 1)])
+    loose = Presentation(ring, [ring.parse("X^2")], Strategy.GROEBNER_F2,
+                         truncation=4).complete()
+    with pytest.raises(ModuleBasisError, match="fails freeness at degree 3: 2 != 1"):
+        verify_cell_dimensions(loose, base, [1, 1], 4, "toy ring")
+    with pytest.raises(ModuleBasisError, match="at degree 2: 2 != 3"):
+        verify_cell_dimensions(loose, base, [1, 1, 1], 4, "toy ring")
+    tight = Presentation(ring, [ring.parse("X^2"), ring.parse("a^3")],
+                         Strategy.GROEBNER_F2, truncation=4).complete()
+    verify_cell_dimensions(tight, base, [1, 1], 4, "toy ring")
+
+
 # -- derived sub-presentations ---------------------------------------------------
 
 
@@ -337,3 +357,77 @@ def test_derived_sub_presentation_keeps_base_relations():
     assert sub.ring.names == ("x",)
     assert sub.element("x^4").is_zero()
     assert not sub.element("x^3").is_zero()
+
+
+# -- one reducer: integral towers against the stack oracle ------------------------
+
+
+def random_integral_tower(rng):
+    """Relations +-g^m + tail over Z, one per designated generator, with the
+    tail in earlier generators and lower powers of g."""
+    ring = PolyRing(Coeffs.INT, [(f"g{i}", rng.choice((2, 4))) for i in range(3)])
+    rels = []
+    for i in range(ring.ngens):
+        if rng.random() < 0.2:
+            continue  # a generator without a relation
+        m = rng.randint(1, 3)
+        degree = m * ring.degrees[i]
+        lead = tuple(m if j == i else 0 for j in range(ring.ngens))
+        terms = {lead: rng.choice((1, -1))}
+        for exps in _monomials_of_degree(ring, degree):
+            if not any(exps[i + 1:]) and exps[i] < m and rng.random() < 0.7:
+                terms[exps] = rng.choice((-2, -1, 1, 2))
+        rels.append(Polynomial(ring, terms))
+    return ring, rels
+
+
+def random_integral_polynomial(rng, ring):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 3) for _ in range(ring.ngens))
+        terms[exps] = rng.randint(-3, 3)
+    return Polynomial(ring, terms)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_integral_tower_normal_forms_match_stack_oracle(seed):
+    rng = random.Random(seed)
+    ring, rels = random_integral_tower(rng)
+    truncation = rng.choice((None, None, 12, 16))
+    pres = Presentation(ring, rels, Strategy.MONIC_TOWER, truncation).complete()
+    for _ in range(6):
+        p = random_integral_polynomial(rng, ring) * random_integral_polynomial(rng, ring)
+        assert pres.normal_form(p) == tower_normal_form(rels, p, truncation)
+
+
+# -- Buchberger against sympy ------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_truncated_buchberger_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    ring = PolyRing(Coeffs.F2, [(f"x{i}", 1) for i in range(3)])
+    top = rng.randint(3, 5)
+    rels = []
+    for _ in range(rng.randint(2, 4)):
+        degree = rng.randint(2, top)
+        monos = sorted(_monomials_of_degree(ring, degree))
+        rels.append(Polynomial(ring, {e: 1 for e in rng.sample(monos, rng.randint(1, 3))}))
+    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, top).complete()
+
+    gens = sympy.symbols("x0 x1 x2")
+
+    def to_expr(terms):
+        return sum(sympy.Mul(*(g ** e for g, e in zip(gens, exps))) for exps in terms)
+
+    above = [to_expr([e]) for e in _monomials_of_degree(ring, top + 1)]
+    order = gens[::-1]  # sympy's first generator is the most significant
+    basis = sympy.groebner([to_expr(r.terms) for r in rels] + above, *order,
+                           order="grlex", modulus=2)
+    want = set()
+    for g in basis.exprs:
+        poly = sympy.Poly(g, *order, modulus=2)
+        if poly.total_degree() <= top:
+            want.add(frozenset(m[::-1] for m, c in poly.terms() if int(c) % 2))
+    assert {frozenset(r.terms) for r in pres.relations} == want
