@@ -69,17 +69,26 @@ class ParsedSpec:
     coeffs: Coeffs
 
 
+# Least value of each integer key, checked where it is parsed so that the
+# error carries its line.
+_INT_MINIMUM = {"rank": 2, "truncation": 1, "kmax": 0}
+
+
 def _parse_header_value(key: str, value: str, path: str, line_no: int) -> object:
     if key == "field":
         try:
             return KField.from_tag(value)
         except BundleError as exc:
             raise SpecFileError(str(exc), path, line_no) from exc
-    if key in ("rank", "truncation", "kmax"):
+    if key in _INT_MINIMUM:
         try:
-            return int(value)
+            number = int(value)
         except ValueError as exc:
             raise SpecFileError(f"{key} must be an integer, got {value!r}", path, line_no) from exc
+        if number < _INT_MINIMUM[key]:
+            raise SpecFileError(f"{key} must be >= {_INT_MINIMUM[key]}, got {number}",
+                                path, line_no)
+        return number
     if key == "coeffs":
         if value.lower() in ("f2", "gf2", "mod2"):
             return Coeffs.F2
@@ -167,8 +176,6 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
             key, value = key.strip().lower(), value.strip()
             if key == "kmax":
                 k_max = _parse_header_value("kmax", value, path, line_no)
-                if k_max < 0:
-                    raise SpecFileError(f"kmax must be >= 0, got {k_max}", path, line_no)
             elif key == "coeffs":
                 if coeffs_override is None:
                     coeffs = _parse_header_value("coeffs", value, path, line_no)

@@ -14,6 +14,16 @@ is stored as the single image vector a(u), which transforms as a(qu) = q a(u).
 Tolerances: 1e-9 for geometric identities, 1e-12 for scalar algebra; inputs
 inside a 1e-9 degeneracy cutoff (antipodal points, orthogonal lines, equal
 lines) are rejected, not perturbed.
+
+Broadcasting.  The sphere kernels (``_c_raw``, ``_sigma_raw``, ``_pi_raw``,
+``_pi_inverse_raw``) and ``complex_structure`` take points as ``(..., dim)``
+arrays and broadcast over the leading axes; a path parameter ``t`` broadcasts
+against those leading axes, so ``t`` of shape ``(T, 1)`` with points of shape
+``(B, dim)`` gives paths of shape ``(T, B, dim)``.  A batch raises
+``GeometryError`` if any of its rows is degenerate.  The single-point
+functions (``geodesic_c``, ``rho_sphere``, ``sigma_sphere``, ``pi_map``,
+``pi_inverse``) and ``Planner.plan`` run the same kernels on one row, and
+``verify_planner`` runs them over blocks of sampled rows.
 """
 
 from __future__ import annotations
@@ -28,6 +38,14 @@ from .bundles import KField
 GEOM_TOL = 1e-9
 SCALAR_TOL = 1e-12
 CONTINUITY_RESOLUTION = 1.0 / 256.0
+# verify_planner rejects samples * (n + 1) or (n + 1)^2 above this many
+# coordinates (512 MiB of float64 per array) before it draws anything.
+MAX_SAMPLE_COORDINATES = 1 << 26
+# verify_planner splits its rows into blocks whose (rows x t-grid x dim)
+# arrays hold at most this many coordinates (32 KiB of float64), or one row
+# where a row alone is larger, so its temporaries stay small next to the
+# sample arrays themselves.
+_BLOCK_COORDS = 1 << 12
 
 
 class GeometryError(ValueError):
@@ -176,16 +194,22 @@ def lines_equal(p: ProjPoint, q: ProjPoint, tol: float = GEOM_TOL) -> bool:
 # -- great-circle geodesics ---------------------------------------------------------
 
 
-def _c_raw(t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    cos_theta = float(np.clip(np.dot(u, v), -1.0, 1.0))
-    theta = float(np.arccos(cos_theta))
-    if theta > np.pi - GEOM_TOL:
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inner product over the last axis, broadcast over the leading ones."""
+    return np.einsum("...i,...i->...", u, v)
+
+
+def _c_raw(t: float | np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    cos_theta = np.clip(_dot(u, v), -1.0, 1.0)
+    theta = np.arccos(cos_theta)
+    if np.any(theta > np.pi - GEOM_TOL):
         raise GeometryError("geodesic undefined for antipodal points")
-    sin_theta = float(np.sin(theta))
-    if sin_theta < SCALAR_TOL:
-        return u
-    w = (v - cos_theta * u) / sin_theta
-    return np.cos(theta * t) * u + np.sin(theta * t) * w
+    sin_theta = np.sin(theta)
+    fixed = sin_theta < SCALAR_TOL
+    w = (v - cos_theta[..., None] * u) / np.where(fixed, 1.0, sin_theta)[..., None]
+    angle = theta * np.asarray(t, dtype=float)
+    path = np.cos(angle)[..., None] * u + np.sin(angle)[..., None] * w
+    return np.where(fixed[..., None], u, path)
 
 
 def geodesic_c(t: float, u, v) -> SpherePoint:
@@ -199,10 +223,9 @@ def rho_sphere(t: float, u, v) -> SpherePoint:
     return SpherePoint(_c_raw((1.0 - t) / 2.0, _coords(u), _coords(v)))
 
 
-def _sigma_raw(w: np.ndarray, t: float, u: np.ndarray) -> np.ndarray:
-    if t >= 0.0:
-        return _c_raw(t, w, u)
-    return _c_raw(-t, w, -u)
+def _sigma_raw(w: np.ndarray, t: float | np.ndarray, u: np.ndarray) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    return _c_raw(np.abs(t), w, np.where(t >= 0.0, 1.0, -1.0)[..., None] * u)
 
 
 def sigma_sphere(w, t: float, u) -> SpherePoint:
@@ -217,7 +240,7 @@ def sigma_sphere(w, t: float, u) -> SpherePoint:
 
 
 def _pi_raw(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s2 = float(np.dot(w, w))
+    s2 = _dot(w, w)[..., None]
     denom = 1.0 + s2
     x = ((1.0 - s2) * u + 2.0 * w) / denom
     y = ((s2 - 1.0) * u + 2.0 * w) / denom
@@ -241,18 +264,17 @@ def pi_map(u, v, w: np.ndarray) -> tuple[SpherePoint, SpherePoint]:
 
 def _pi_inverse_raw(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diff = x - y
-    dist = float(np.linalg.norm(diff))
-    if dist <= GEOM_TOL:
+    dist = np.linalg.norm(diff, axis=-1, keepdims=True)
+    if np.any(dist <= GEOM_TOL):
         raise GeometryError("chart inverse undefined on the diagonal")
     u = diff / dist
     total = x + y
-    total_norm = float(np.linalg.norm(total))
-    if total_norm == 0.0:
-        return u, np.zeros_like(x)
+    total_norm = np.linalg.norm(total, axis=-1, keepdims=True)
+    antipodal = total_norm == 0.0
     # |x+y|/2 and |x-y|/2 are cos/sin of a common half-angle, so the scale
     # solves 2s/(1+s^2) = |x+y|/2 without cancellation.
     s = (total_norm / 2.0) / (1.0 + dist / 2.0)
-    return u, s * (total / total_norm)
+    return u, np.where(antipodal, 0.0, s * (total / np.where(antipodal, 1.0, total_norm)))
 
 
 def pi_inverse(x, y) -> tuple[SpherePoint, SpherePoint, np.ndarray]:
@@ -352,11 +374,16 @@ def proj_pi_inverse(
 @dataclass(frozen=True)
 class PlannerRule:
     """One local rule: a domain predicate on pairs and a path map with
-    path(1, u, v) = u and path(-1, u, v) = v on the domain."""
+    path(1, u, v) = u and path(-1, u, v) = v on the domain.
+
+    Both broadcast over leading axes: for points ``u, v`` of shape
+    ``(..., dim)``, ``accepts(u, v)`` is a bool array of the leading shape and
+    ``path(t, u, v)`` is a ``(..., dim)`` array, with ``t`` broadcast against
+    the leading shape.  ``path`` is only called on rows that ``accepts``."""
 
     name: str
-    accepts: Callable[[np.ndarray, np.ndarray], bool]
-    path: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    accepts: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    path: Callable[[float | np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -370,6 +397,7 @@ class Planner:
     lipschitz: float
 
     def plan(self, t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The path point at t for one pair of points of shape (dim,)."""
         for rule in self.rules:
             if rule.accepts(u, v):
                 return rule.path(t, u, v)
@@ -377,12 +405,13 @@ class Planner:
 
 
 def complex_structure(x: np.ndarray) -> np.ndarray:
-    """The standard complex structure on R^(even): (x, y) -> (-y, x) pairwise."""
-    if x.shape[0] % 2:
+    """The standard complex structure on R^(even): (x, y) -> (-y, x) pairwise
+    along the last axis."""
+    if x.shape[-1] % 2:
         raise GeometryError("complex structure needs an even-dimensional space")
     out = np.empty_like(x)
-    out[0::2] = -x[1::2]
-    out[1::2] = x[0::2]
+    out[..., 0::2] = -x[..., 1::2]
+    out[..., 1::2] = x[..., 0::2]
     return out
 
 
@@ -405,22 +434,23 @@ def build_sphere_planner(n: int, k: int = 1) -> Planner:
     if k != 1:
         raise GeometryError("only the two-rule construction (k = 1) is implemented")
 
-    def accepts_near(u: np.ndarray, v: np.ndarray) -> bool:
-        return float(np.dot(u, v)) > -1.0 + GEOM_TOL
+    def accepts_near(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return _dot(u, v) > -1.0 + GEOM_TOL
 
-    def path_near(t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return _c_raw((1.0 - t) / 2.0, u, v)
+    def path_near(t: float | np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return _c_raw((1.0 - np.asarray(t, dtype=float)) / 2.0, u, v)
 
-    def accepts_far(u: np.ndarray, v: np.ndarray) -> bool:
-        return float(np.linalg.norm(u - v)) > GEOM_TOL
+    def accepts_far(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(u - v, axis=-1) > GEOM_TOL
 
-    def path_far(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def path_far(t: float | np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         u0, w = _pi_inverse_raw(x, y)
-        if t >= 0.5:
-            return _pi_raw(u0, (2.0 * t - 1.0) * w)[0]
-        if t <= -0.5:
-            return _pi_raw(u0, (-2.0 * t - 1.0) * w)[1]
-        return _sigma_raw(complex_structure(u0), 2.0 * t, u0)
+        t = np.asarray(t, dtype=float)[..., None]
+        # the chart segments out of u0 (t >= 1/2) and into -u0 (t <= -1/2)
+        # scale w by |2t| - 1; the section crossing runs in between
+        near_u0, near_minus_u0 = _pi_raw(u0, (np.abs(2.0 * t) - 1.0) * w)
+        crossing = _sigma_raw(complex_structure(u0), 2.0 * t[..., 0], u0)
+        return np.where(t >= 0.5, near_u0, np.where(t <= -0.5, near_minus_u0, crossing))
 
     return Planner(
         n=n,
@@ -467,59 +497,82 @@ def _random_units(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
+def _blocks(count: int, row_coords: int):
+    """Slices of range(count) of at most _BLOCK_COORDS // row_coords rows."""
+    step = max(1, _BLOCK_COORDS // row_coords)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
+def _max_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(a - b, axis=-1), initial=0.0))
+
+
 def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:
     """Sample the planner's contracts.
 
     Endpoint and diagonal errors are checked for every rule on its own
-    domain, cover for the rule set as a whole, the continuity proxy along the
-    first accepting rule at resolution 1/256 against lipschitz/256 + 1e-6,
-    and geodesic equivariance under random orthogonal maps.
+    domain, cover for the rule set as a whole, the continuity proxy along
+    every accepting rule at resolution 1/256 against lipschitz/256 + 1e-6,
+    and geodesic equivariance under random orthogonal maps.  Rules run on
+    blocks of sampled rows through their broadcasting contract.
     """
     if samples < 1:
         raise GeometryError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
     dim = planner.n + 1
+    if max(samples, dim) * dim > MAX_SAMPLE_COORDINATES:
+        raise GeometryError(
+            f"samples * (n + 1) and (n + 1)^2 must be at most {MAX_SAMPLE_COORDINATES} "
+            f"coordinates, got samples={samples}, n={planner.n}"
+        )
+    rng = np.random.default_rng(seed)
     us = _random_units(rng, samples, dim)
     vs = _random_units(rng, samples, dim)
+    rules = planner.rules
 
+    # domains[i, j]: rule i accepts sample pair j
+    domains = np.zeros((len(rules), samples), dtype=bool)
     endpoint = 0.0
-    cover_failures = 0
-    for u, v in zip(us, vs):
-        hit = False
-        for rule in planner.rules:
-            if not rule.accepts(u, v):
-                continue
-            hit = True
-            endpoint = max(endpoint, float(np.linalg.norm(rule.path(1.0, u, v) - u)))
-            endpoint = max(endpoint, float(np.linalg.norm(rule.path(-1.0, u, v) - v)))
-        if not hit:
-            cover_failures += 1
+    for rows in _blocks(samples, dim):
+        u, v = us[rows], vs[rows]
+        for domain, rule in zip(domains, rules):
+            mask = domain[rows] = rule.accepts(u, v)
+            if mask.any():
+                ur, vr = u[mask], v[mask]
+                endpoint = max(endpoint, _max_distance(rule.path(1.0, ur, vr), ur),
+                               _max_distance(rule.path(-1.0, ur, vr), vr))
+    cover_failures = int(np.count_nonzero(~domains.any(axis=0)))
     # random pairs never hit the degenerate strata, so probe them directly:
     # the diagonal and the antipodal pairs must also be covered
-    for u in us[: min(samples, 100)]:
-        for probe in (u, -u):
-            if not any(rule.accepts(u, probe) for rule in planner.rules):
-                cover_failures += 1
+    heads = us[: min(samples, 100)]
+    probe_u = np.concatenate([heads, heads])
+    probe_v = np.concatenate([heads, -heads])
+    covered = np.zeros(len(probe_u), dtype=bool)
+    for rule in rules:
+        covered |= rule.accepts(probe_u, probe_v)
+    cover_failures += int(np.count_nonzero(~covered))
 
     diagonal = 0.0
-    t_grid = np.linspace(-1.0, 1.0, 17)
-    for u in us[: min(samples, 1000)]:
-        for rule in planner.rules:
-            if not rule.accepts(u, u):
-                continue
-            for t in t_grid:
-                diagonal = max(diagonal, float(np.linalg.norm(rule.path(t, u, u) - u)))
+    t_grid = np.linspace(-1.0, 1.0, 17)[:, None]
+    diagonal_us = us[: min(samples, 1000)]
+    for rows in _blocks(len(diagonal_us), t_grid.size * dim):
+        u = diagonal_us[rows]
+        for rule in rules:
+            mask = rule.accepts(u, u)
+            if mask.any():
+                ur = u[mask]
+                diagonal = max(diagonal, _max_distance(rule.path(t_grid, ur, ur), ur))
 
     step = CONTINUITY_RESOLUTION
-    fine_grid = np.arange(-1.0, 1.0 + step / 2, step)
+    fine_grid = np.arange(-1.0, 1.0 + step / 2, step)[:, None]
     continuity = 0.0
-    for u, v in zip(us[:100], vs[:100]):
-        for rule in planner.rules:
-            if not rule.accepts(u, v):
-                continue
-            points = [rule.path(t, u, v) for t in fine_grid]
-            deltas = np.diff(np.stack(points), axis=0)
-            continuity = max(continuity, float(np.max(np.linalg.norm(deltas, axis=1))))
+    for rows in _blocks(min(samples, 100), fine_grid.size * dim):
+        u, v = us[rows], vs[rows]
+        for domain, rule in zip(domains, rules):
+            mask = domain[rows]
+            if mask.any():
+                points = rule.path(fine_grid, u[mask], v[mask])
+                continuity = max(continuity, _max_distance(points[1:], points[:-1]))
     continuity_bound = planner.lipschitz * step + 1e-6
 
     equivariance = 0.0
@@ -529,10 +582,9 @@ def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:
         u, v = _random_units(rng, 2, dim)
         if float(np.dot(u, v)) < -1.0 + 1e-6:
             continue
-        for t in eq_grid:
-            lhs = _c_raw(t, g @ u, g @ v)
-            rhs = g @ _c_raw(t, u, v)
-            equivariance = max(equivariance, float(np.linalg.norm(lhs - rhs)))
+        lhs = _c_raw(eq_grid, g @ u, g @ v)
+        rhs = _c_raw(eq_grid, u, v) @ g.T
+        equivariance = max(equivariance, _max_distance(lhs, rhs))
 
     passed = (
         endpoint <= GEOM_TOL

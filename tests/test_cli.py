@@ -2,6 +2,7 @@
 
 from tcbundles import Coeffs, KField, PolyRing, render_polynomial
 from tcbundles.cli import main, parse_spec_file, run_criteria
+from tcbundles.geomplan import MAX_SAMPLE_COORDINATES
 from tcbundles.obstruct import feder_of, projective_of, q_tilde_of, sphere_quotient_ring
 
 MILNOR = "specs/milnor_r2.spec"
@@ -162,6 +163,20 @@ def test_negative_kmax_option_reports_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, "criteria", path, "--machine")
     assert code == 2 and out == ""
     assert f"{path}:4:" in err and "kmax" in err
+
+
+def test_truncation_below_one_reports_line(tmp_path, capsys):
+    path = write_spec(tmp_path, "field = R\nrank = 2\n[base]\ngenerator x 1\ntruncation 0\n")
+    code, out, err = run_cli(capsys, "criteria", path, "--machine")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}:5: ") and "truncation" in err
+
+
+def test_rank_below_two_reports_line(tmp_path, capsys):
+    path = write_spec(tmp_path, "field = R\nrank = 1\n")
+    code, out, err = run_cli(capsys, "criteria", path, "--machine")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}:2: ") and "rank" in err
 
 
 def test_default_bound_is_decisive_on_a_truncated_base(tmp_path, capsys):
@@ -365,6 +380,17 @@ def test_planner_needs_a_positive_sphere_dimension(capsys):
     code, out, err = run_cli(capsys, "planner", "--n", "-1", "--samples", "5", "--machine")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "n must be" in err
+
+
+def test_planner_rejects_sizes_above_the_coordinate_cap(capsys):
+    # each case is refused before anything is drawn: 5 x 10^9 sample
+    # coordinates, 4 over the cap, and a 10^4 x 10^4 rotation
+    just_over = str(MAX_SAMPLE_COORDINATES // 4 + 1)
+    for n, samples in (("1000000001", "5"), ("3", just_over), ("9999", "1")):
+        code, out, err = run_cli(capsys, "planner", "--n", n, "--samples", samples,
+                                 "--machine")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "coordinates" in err
 
 
 def test_planner_human_output(capsys):

@@ -33,6 +33,8 @@ from tcbundles import (
 from tcbundles.geomplan import (
     GEOM_TOL,
     SCALAR_TOL,
+    _c_raw,
+    _pi_inverse_raw,
     k_conj,
     k_inner,
     k_mul,
@@ -58,6 +60,24 @@ def random_line(field, m, rng=RNG):
 def random_rotation(dim, rng=RNG):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
+
+
+def random_units(count, dim, rng=RNG):
+    vecs = rng.standard_normal((count, dim))
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def random_realified_unitary(m, rng=RNG):
+    """A random element of U(m) acting on R^(2m) with coordinates
+    (Re z_0, Im z_0, Re z_1, ...), so it commutes with complex_structure."""
+    q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    g = np.empty((2 * m, 2 * m))
+    g[0::2, 0::2] = q.real
+    g[0::2, 1::2] = -q.imag
+    g[1::2, 0::2] = q.imag
+    g[1::2, 1::2] = q.real
+    return g
 
 
 def orthogonal_line(field, line, rng=RNG):
@@ -515,6 +535,83 @@ def test_planner_section_rule_is_continuous_at_the_seams():
         assert np.linalg.norm(before - after) < 1e-5
 
 
+def test_kernels_broadcast_and_reject_a_batch_with_one_degenerate_row():
+    us, vs = random_units(6, 4), random_units(6, 4)
+    ts = np.linspace(0.0, 1.0, 5)[:, None]
+    batch = _c_raw(ts, us, vs)
+    assert batch.shape == (5, 6, 4)
+    for i in range(6):
+        for j, t in enumerate(ts[:, 0]):
+            assert np.allclose(batch[j, i], geodesic_c(float(t), us[i], vs[i]).coords,
+                               atol=1e-15, rtol=0.0)
+    assert complex_structure(us).shape == (6, 4)
+    assert np.allclose(complex_structure(us)[2], complex_structure(us[2]))
+    antipodal = vs.copy()
+    antipodal[3] = -us[3]
+    with pytest.raises(GeometryError):
+        _c_raw(0.5, us, antipodal)
+    diagonal = vs.copy()
+    diagonal[4] = us[4]
+    with pytest.raises(GeometryError):
+        _pi_inverse_raw(us, diagonal)
+
+
+def _pairs_with_degenerate_strata(dim, count=40):
+    """Random pairs whose first 5 are antipodal and next 5 equal."""
+    us, vs = random_units(count, dim), random_units(count, dim)
+    vs[:5] = -us[:5]
+    vs[5:10] = us[5:10]
+    return us, vs
+
+
+@pytest.mark.parametrize("n", (1, 3, 5))
+def test_batched_rules_agree_with_plan_on_each_pair(n):
+    planner = build_sphere_planner(n)
+    us, vs = _pairs_with_degenerate_strata(n + 1)
+    ts = np.linspace(-1.0, 1.0, 21)
+    planned = np.full((len(ts), len(us), n + 1), np.nan)
+    todo = np.ones(len(us), dtype=bool)
+    for rule in planner.rules:
+        accepted = rule.accepts(us, vs)
+        assert accepted.shape == (len(us),) and accepted.dtype == bool
+        assert accepted.tolist() == [bool(rule.accepts(u, v)) for u, v in zip(us, vs)]
+        take = todo & accepted
+        planned[:, take] = rule.path(ts[:, None], us[take], vs[take])
+        todo &= ~accepted
+    assert not todo.any()
+    for i, (u, v) in enumerate(zip(us, vs)):
+        for j, t in enumerate(ts):
+            assert np.max(np.abs(planned[j, i] - planner.plan(float(t), u, v))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", (1, 3, 5))
+def test_planner_rules_are_unitary_equivariant_on_their_domains(n):
+    planner = build_sphere_planner(n)
+    us, vs = _pairs_with_degenerate_strata(n + 1)
+    near, far = planner.rules
+    assert near.accepts(us, vs).tolist() == [False] * 5 + [True] * 35
+    assert far.accepts(us, vs).tolist() == [True] * 5 + [False] * 5 + [True] * 30
+    ts = np.linspace(-1.0, 1.0, 33)[:, None]
+    worst = 0.0
+    for _ in range(10):
+        g = random_realified_unitary((n + 1) // 2)
+        assert np.allclose(g.T @ g, np.eye(n + 1), atol=1e-12)
+        assert np.allclose(g @ complex_structure(us[0]), complex_structure(g @ us[0]))
+        gu, gv = us @ g.T, vs @ g.T
+        for rule in planner.rules:
+            mask = rule.accepts(us, vs)
+            assert np.array_equal(rule.accepts(gu, gv), mask)
+            moved = rule.path(ts, us[mask], vs[mask]) @ g.T
+            worst = max(worst, float(np.max(np.abs(moved - rule.path(ts, gu[mask], gv[mask])))))
+    assert worst <= 1e-9
+    if n > 1:
+        # a rotation that does not commute with the complex structure moves
+        # the section crossing, so the check can fail
+        g = random_rotation(n + 1)
+        moved = far.path(0.0, us[:5], vs[:5]) @ g.T
+        assert np.max(np.abs(moved - far.path(0.0, us[:5] @ g.T, vs[:5] @ g.T))) > 1e-3
+
+
 def test_empty_planner_raises_on_plan():
     empty = Planner(n=1, rules=(), lipschitz=1.0)
     with pytest.raises(GeometryError):
@@ -538,10 +635,10 @@ def test_verify_full_planner_passes():
 
 def test_verify_reports_cover_failures_for_arc_only_planner():
     def accepts(u, v):
-        return float(np.dot(u, v)) > -1.0 + GEOM_TOL
+        return np.einsum("...i,...i->...", u, v) > -1.0 + GEOM_TOL
 
     def path(t, u, v):
-        return rho_sphere(t, u, v).coords
+        return _c_raw((1.0 - np.asarray(t, dtype=float)) / 2.0, u, v)
 
     arc_only = PlannerRule("shortest-arc", accepts, path)
     partial = Planner(n=1, rules=(arc_only,), lipschitz=4.0)
