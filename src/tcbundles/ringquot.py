@@ -15,10 +15,15 @@ its largest monomial down.  ``Strategy`` only validates and completes:
     presentations take this shape.
 
 ``GROEBNER_F2``
-    Truncated Buchberger completion over F2.  Only S-pairs whose lcm degree
-    stays within the truncation bound are processed; since all relations are
-    homogeneous this yields normal forms that are canonical up to the
-    truncation degree.
+    Truncated Buchberger completion over F2.  Each S-pair is keyed once, when
+    it is created, and waits in a heap that pops the lowest lcm degree first.
+    Two filters run at creation and read only the two leads: a pair with
+    coprime leads (Buchberger's first criterion) or with its lcm above the
+    truncation bound is never queued.  Since all relations are homogeneous
+    this yields normal forms that are canonical up to the truncation degree.
+    One pass of inter-reduction then gives the unique reduced basis: drop
+    every element whose lead another lead divides, and reduce each remaining
+    tail once against what is left.
 
 A presentation may carry a ``truncation`` degree: every element of weighted
 degree above it is zero in the quotient.  The truncation is semantic, i.e. it
@@ -30,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import Iterator, Mapping, Sequence
 
 from .polyalg import Coeffs, ExpVec, PolyRing, Polynomial, RingMismatchError, power
@@ -112,7 +118,8 @@ class Presentation:
         if strategy is Strategy.MONIC_TOWER:
             rels = _tower_normalize(ring, rels)
         self.relations = tuple(rels)
-        # (lead, tail) pairs for the reducer, built once per completed ring
+        # (lead, support, tail) triples for the reducer, built once per
+        # completed ring
         self._basis = (
             tuple(_lead_and_tail(r.terms, ring) for r in rels) if _completed else ()
         )
@@ -165,7 +172,7 @@ class Presentation:
         """Exponent vectors whose multiples are killed by reduction."""
         if not self.completed:
             raise PresentationError("presentation must be completed first")
-        return [lead for lead, _ in self._basis]
+        return [lead for lead, _, _ in self._basis]
 
     def standard_monomials(self, degree: int) -> list[ExpVec]:
         """Monomial basis of the quotient in one weighted degree."""
@@ -282,15 +289,18 @@ def _tower_normalize(ring: PolyRing, relations: list[Polynomial]) -> list[Polyno
 
 # -- reduction and completion ------------------------------------------------------------
 
-# A basis element (lead, tail) stands for the relation lead + tail, whose
-# leading monomial ``lead`` has coefficient +1; ``tail`` is a tuple of
+# A basis element (lead, support, tail) stands for the relation lead + tail,
+# whose leading monomial ``lead`` has coefficient +1; ``support`` lists the
+# (index, exponent) pairs of the nonzero exponents of ``lead``, all that a
+# divisibility test needs (a tower's lead g^m has one); ``tail`` is a tuple of
 # (monomial, coefficient) pairs, all smaller than ``lead``.
-_BasisElement = tuple[ExpVec, tuple[tuple[ExpVec, int], ...]]
+_BasisElement = tuple[ExpVec, tuple[tuple[int, int], ...], tuple[tuple[ExpVec, int], ...]]
 
 
 def _lead_and_tail(terms: Mapping[ExpVec, int], ring: PolyRing) -> _BasisElement:
     lead = max(terms, key=ring.order_key)
-    return lead, tuple((e, c) for e, c in terms.items() if e != lead)
+    support = tuple((i, x) for i, x in enumerate(lead) if x)
+    return lead, support, tuple((e, c) for e, c in terms.items() if e != lead)
 
 
 def _descending(exps: ExpVec) -> ExpVec:
@@ -318,10 +328,6 @@ def _reduce(
             if trunc is None or ring.weighted_degree(e) <= trunc}
     heap = [(_descending(e), e) for e in work]
     heapify(heap)
-    # divisibility only needs the nonzero exponents of each lead; a tower's
-    # lead g^m has one
-    divisors = [([(i, x) for i, x in enumerate(lead) if x], lead, tail)
-                for lead, tail in basis]
     out: dict[ExpVec, int] = {}
     while heap:
         m = heappop(heap)[1]
@@ -330,7 +336,7 @@ def _reduce(
             c &= 1
         if not c:
             continue
-        for support, lead, tail in divisors:
+        for lead, support, tail in basis:
             if all([m[i] >= x for i, x in support]):
                 shift = _exps_diff(m, lead)
                 for e, tc in tail:
@@ -347,56 +353,58 @@ def _reduce(
 
 
 def _buchberger(
-    ring: PolyRing, relations: Sequence[Polynomial], trunc: int | None
+    ring: PolyRing, relations: Sequence[Polynomial], trunc: int
 ) -> tuple[Polynomial, ...]:
-    """Truncated Buchberger completion for homogeneous F2 ideals."""
+    """Truncated Buchberger completion for homogeneous F2 ideals.
+
+    Each S-pair is keyed once, when it is created, by (weighted degree of the
+    lcm of its leads, minus its creation number), and waits in a heap: pairs
+    pop lowest degree first and, within a degree, newest first.  A pair is
+    never queued when its leads are coprime (Buchberger's first criterion:
+    its S-polynomial reduces to zero) or when their lcm lies above the
+    truncation (its S-polynomial is zero in the quotient).  Both tests read
+    only the two leads, which never change once an element joins the basis.
+
+    The result is inter-reduced in one pass: every element whose lead is
+    divisible by another lead is dropped, which leaves a minimal basis with
+    the same leading ideal, and each remaining tail is reduced once against
+    it.  That is the unique reduced basis up to the truncation.
+    """
     basis: list[_BasisElement] = []
+    pairs: list[tuple[int, int, ExpVec, int, int]] = []
+    created = count()
+
+    def add(reduced: dict[ExpVec, int]) -> None:
+        element = _lead_and_tail(reduced, ring)
+        lead = element[0]
+        for k, (other, _, _) in enumerate(basis):
+            n = next(created)
+            lcm = _exps_lcm(other, lead)
+            degree = ring.weighted_degree(lcm)
+            if degree <= trunc and not _exps_coprime(other, lead):
+                heappush(pairs, (degree, -n, lcm, k, len(basis)))
+        basis.append(element)
+
     for r in relations:
         reduced = _reduce(r.terms, basis, ring, trunc)
         if reduced:
-            basis.append(_lead_and_tail(reduced, ring))
-
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+            add(reduced)
     while pairs:
-        pairs.sort(
-            key=lambda ij: ring.weighted_degree(
-                _exps_lcm(basis[ij[0]][0], basis[ij[1]][0])
-            ),
-            reverse=True,
-        )
-        i, j = pairs.pop()
-        lt_i, tail_i = basis[i]
-        lt_j, tail_j = basis[j]
-        if _exps_coprime(lt_i, lt_j):
-            continue
-        lcm = _exps_lcm(lt_i, lt_j)
-        if trunc is not None and ring.weighted_degree(lcm) > trunc:
-            continue
+        _, _, lcm, i, j = heappop(pairs)
         # the two leads both shift to lcm and cancel; _reduce takes the
         # merged tail counts mod 2
-        spoly = Counter(_exps_shift(e, _exps_diff(lcm, lt))
-                        for lt, tail in ((lt_i, tail_i), (lt_j, tail_j)) for e, _ in tail)
+        spoly = Counter(_exps_shift(e, _exps_diff(lcm, lead))
+                        for lead, _, tail in (basis[i], basis[j]) for e, _ in tail)
         reduced = _reduce(spoly, basis, ring, trunc)
         if reduced:
-            basis.append(_lead_and_tail(reduced, ring))
-            new = len(basis) - 1
-            pairs.extend((k, new) for k in range(new))
+            add(reduced)
 
-    # Inter-reduce to the unique reduced basis (up to the truncation bound).
-    changed = True
-    while changed:
-        changed = False
-        for idx, (lead, tail) in enumerate(basis):
-            terms = {lead: 1, **dict(tail)}
-            rest = basis[:idx] + basis[idx + 1:]
-            reduced = _reduce(terms, rest, ring, trunc)
-            if reduced != terms:
-                changed = True
-                basis = rest
-                if reduced:
-                    basis.append(_lead_and_tail(reduced, ring))
-                break
-    polys = [Polynomial(ring, {lead: 1, **dict(tail)}) for lead, tail in basis]
+    # leads are pairwise distinct: each element was reduced by all before it
+    minimal = [el for el in basis
+               if not any(other is not el and _exps_divides(other[0], el[0])
+                          for other in basis)]
+    polys = [Polynomial(ring, {lead: 1, **_reduce(dict(tail), minimal, ring, trunc)})
+             for lead, _, tail in minimal]
     polys.sort(key=lambda p: ring.order_key(p.leading_exponents()))
     return tuple(polys)
 

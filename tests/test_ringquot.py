@@ -403,12 +403,22 @@ def test_integral_tower_normal_forms_match_stack_oracle(seed):
 # -- Buchberger against sympy ------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_truncated_buchberger_matches_sympy(seed):
+# Three generators of degree 1 truncated at 3..5 (drawn from the seed), and
+# three cases with four generators truncated at 7: sympy needs about 0.5 s
+# for each of those, and about 5 s for five generators.
+SYMPY_CASES = [(3, None, seed) for seed in range(20)] + [(4, 7, seed) for seed in range(3)]
+
+
+@pytest.mark.parametrize(
+    "ngens,top,seed", SYMPY_CASES,
+    ids=[str(seed) if top is None else f"{ngens}gens_t{top}_{seed}"
+         for ngens, top, seed in SYMPY_CASES])
+def test_truncated_buchberger_matches_sympy(ngens, top, seed):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(seed)
-    ring = PolyRing(Coeffs.F2, [(f"x{i}", 1) for i in range(3)])
-    top = rng.randint(3, 5)
+    ring = PolyRing(Coeffs.F2, [(f"x{i}", 1) for i in range(ngens)])
+    if top is None:
+        top = rng.randint(3, 5)
     rels = []
     for _ in range(rng.randint(2, 4)):
         degree = rng.randint(2, top)
@@ -416,7 +426,7 @@ def test_truncated_buchberger_matches_sympy(seed):
         rels.append(Polynomial(ring, {e: 1 for e in rng.sample(monos, rng.randint(1, 3))}))
     pres = Presentation(ring, rels, Strategy.GROEBNER_F2, top).complete()
 
-    gens = sympy.symbols("x0 x1 x2")
+    gens = sympy.symbols(" ".join(ring.names))
 
     def to_expr(terms):
         return sum(sympy.Mul(*(g ** e for g, e in zip(gens, exps))) for exps in terms)
@@ -431,3 +441,33 @@ def test_truncated_buchberger_matches_sympy(seed):
         if poly.total_degree() <= top:
             want.add(frozenset(m[::-1] for m, c in poly.terms() if int(c) % 2))
     assert {frozenset(r.terms) for r in pres.relations} == want
+
+
+# -- mixed-degree completion against the linear-algebra oracles ---------------------
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mixed_degree_completion_matches_oracles(seed):
+    rng = random.Random(seed)
+    degrees = [rng.choice((1, 2, 3)) for _ in range(rng.randint(4, 5))]
+    ring = PolyRing(Coeffs.F2, [(f"x{i}", d) for i, d in enumerate(degrees)])
+    top = rng.randint(8, 10)
+    rels = []
+    for _ in range(rng.randint(3, 5)):
+        monos = []
+        while not monos:
+            monos = sorted(_monomials_of_degree(ring, rng.randint(2, 4)))
+        picked = rng.sample(monos, min(rng.randint(2, 4), len(monos)))
+        rels.append(Polynomial(ring, {e: 1 for e in picked}))
+    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, top).complete()
+
+    for m in range(top + 1):
+        assert pres.dimension(m) == f2_quotient_dimension(ring, rels, m), m
+    assert all(f2_ideal_member(ring, rels, r) for r in pres.relations)
+    leads = pres.leading_exponent_set()
+    assert not any(a != b and all(x <= y for x, y in zip(a, b))
+                   for a in leads for b in leads)
+    shuffled = rels + [rng.choice(rels)]
+    rng.shuffle(shuffled)
+    again = Presentation(ring, shuffled, Strategy.GROEBNER_F2, top).complete()
+    assert again.relations == pres.relations
