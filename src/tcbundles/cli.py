@@ -115,6 +115,15 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
     classes: list[tuple[int, str, int]] = []  # (index, expression, line)
     k_max: int | None = None
     section = ""
+    seen: set[str] = set()
+
+    def once(key: str, line_no: int) -> None:
+        # coeffs given by the caller overrides the file, so it may repeat
+        if key == "coeffs" and coeffs_override is not None:
+            return
+        if key in seen:
+            raise SpecFileError(f"duplicate {key}", path, line_no)
+        seen.add(key)
 
     for line_no, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -131,6 +140,7 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
             key, _, value = line.partition("=")
             key, value = key.strip().lower(), value.strip()
             parsed = _parse_header_value(key, value, path, line_no)
+            once(key, line_no)
             if key == "field":
                 field = parsed
             elif key == "rank":
@@ -159,6 +169,7 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
                 if len(parts) != 2:
                     raise SpecFileError("usage: truncation <degree>", path, line_no)
                 truncation = _parse_header_value("truncation", parts[1], path, line_no)
+                once("truncation", line_no)
             else:
                 raise SpecFileError(f"unknown base entry {line!r}", path, line_no)
         elif section == "classes":
@@ -168,12 +179,15 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
             key = key.strip()
             if not (key.startswith("w") and key[1:].isdigit()):
                 raise SpecFileError(f"class key must look like w3, got {key!r}", path, line_no)
+            once(f"w{int(key[1:])}", line_no)
             classes.append((int(key[1:]), value.strip(), line_no))
         else:  # options
             if "=" not in line:
                 raise SpecFileError("expected key = value", path, line_no)
             key, _, value = line.partition("=")
             key, value = key.strip().lower(), value.strip()
+            if key in ("kmax", "coeffs"):
+                once(key, line_no)
             if key == "kmax":
                 k_max = _parse_header_value("kmax", value, path, line_no)
             elif key == "coeffs":
@@ -208,6 +222,8 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
 
     class_map: dict[int, Element] = {}
     for idx, expr, line_no in classes:
+        if not 1 <= idx <= rank:
+            raise SpecFileError(f"class index {idx} outside 1..{rank}", path, line_no)
         try:
             class_map[idx] = base.element(expr)
         except ParseError as exc:

@@ -28,6 +28,15 @@ its largest monomial down.  ``Strategy`` only validates and completes:
 A presentation may carry a ``truncation`` degree: every element of weighted
 degree above it is zero in the quotient.  The truncation is semantic, i.e. it
 is part of the ring being presented, not a computational shortcut.
+
+Dimensions are counted on the standard monomials, those that no lead of the
+completed basis divides; they form a basis of the quotient in each degree.
+A divisor of a standard monomial is standard, so they form an order ideal,
+and one depth-first walk from 1 that raises one exponent at a time and stops
+at the first multiple of a lead visits each of them once, never touching the
+far larger set of all monomials.  ``Presentation.dimensions(top)`` counts
+every degree up to ``top`` in that one walk and caches the counts;
+``dimension``, ``top_degree`` and ``verify_cell_dimensions`` read them.
 """
 
 from __future__ import annotations
@@ -85,7 +94,7 @@ class Presentation:
     """
 
     __slots__ = ("ring", "relations", "strategy", "truncation", "completed",
-                 "_basis", "_hash")
+                 "_basis", "_dims", "_hash")
 
     def __init__(
         self,
@@ -123,6 +132,8 @@ class Presentation:
         self._basis = (
             tuple(_lead_and_tail(r.terms, ring) for r in rels) if _completed else ()
         )
+        # dimensions in degrees 0, 1, ..., filled by ``dimensions``
+        self._dims: list[int] | None = None
         self._hash: int | None = None
 
     # -- completion -----------------------------------------------------------
@@ -174,22 +185,72 @@ class Presentation:
             raise PresentationError("presentation must be completed first")
         return [lead for lead, _, _ in self._basis]
 
+    def dimensions(self, top: int) -> list[int]:
+        """Dimensions of the graded pieces in degrees 0..top.
+
+        The counts come from one walk of the standard monomials up to
+        ``min(top, truncation)`` (see ``_walk``) and are cached on the
+        instance; a later call with a smaller ``top`` reads a prefix of them.
+        Degrees above the truncation have dimension 0.
+        """
+        if top < 0:
+            return []
+        reach = top if self.truncation is None else min(top, self.truncation)
+        if self._dims is None or len(self._dims) <= reach:
+            dims = [0] * (reach + 1)
+            for _, degree in self._walk(reach):
+                dims[degree] += 1
+            self._dims = dims
+        return self._dims[:reach + 1] + [0] * (top - reach)
+
     def standard_monomials(self, degree: int) -> list[ExpVec]:
-        """Monomial basis of the quotient in one weighted degree."""
-        if degree < 0:
+        """Monomial basis of the quotient in one weighted degree, in
+        graded-lex order: the monomials of that degree that no lead divides.
+
+        Walks the standard monomials up to ``degree`` and keeps that degree.
+        """
+        if degree < 0 or (self.truncation is not None and degree > self.truncation):
             return []
-        if self.truncation is not None and degree > self.truncation:
-            return []
-        leads = self.leading_exponent_set()
-        out = [
-            exps for exps in _monomials_of_degree(self.ring, degree)
-            if not any(_exps_divides(l, exps) for l in leads)
-        ]
+        out = [exps for exps, d in self._walk(degree) if d == degree]
         out.sort(key=self.ring.order_key)
         return out
 
+    def _walk(self, top: int) -> Iterator[tuple[ExpVec, int]]:
+        """Every standard monomial of weighted degree <= top, with its degree.
+
+        Depth-first from 1, raising one exponent at a time and never at a
+        generator before the last one raised, so each monomial is reached
+        once, through its divisors.  A divisor of a standard monomial is
+        standard, so the walk stops at the first multiple of a lead.  Raising
+        generator i to exponent x can only bring in a lead whose exponent at
+        i is x, so leads are indexed by (i, x) from their support.
+        """
+        if not self.completed:
+            raise PresentationError("presentation must be completed first")
+        degrees = self.ring.degrees
+        n = len(degrees)
+        by_raise: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
+        for _, support, _ in self._basis:
+            if not support:
+                return  # a unit lead: the quotient is zero
+            for i, x in support:
+                by_raise.setdefault((i, x), []).append(support)
+        stack = [((0,) * n, 0, 0)]
+        while stack:
+            exps, degree, first = stack.pop()
+            yield exps, degree
+            for i in range(first, n):
+                d = degree + degrees[i]
+                if d > top:
+                    continue
+                x = exps[i] + 1
+                raised = exps[:i] + (x,) + exps[i + 1:]
+                if not any(all([raised[j] >= y for j, y in support])
+                           for support in by_raise.get((i, x), ())):
+                    stack.append((raised, d, i))
+
     def dimension(self, degree: int) -> int:
-        return len(self.standard_monomials(degree))
+        return self.dimensions(degree)[degree] if degree >= 0 else 0
 
     def top_degree(self) -> int | None:
         """Largest degree with a nonzero graded piece, or None if unbounded."""
@@ -205,12 +266,8 @@ class Presentation:
                 if not pure:
                     return None
                 bound += (min(pure) - 1) * d
-        top = -1
-        for m in range(bound, -1, -1):
-            if self.dimension(m) > 0:
-                top = m
-                break
-        return top
+        dims = self.dimensions(bound)
+        return max((m for m, count in enumerate(dims) if count), default=-1)
 
     # -- identity ------------------------------------------------------------------
 
@@ -409,31 +466,6 @@ def _buchberger(
     return tuple(polys)
 
 
-def _monomials_of_degree(ring: PolyRing, degree: int) -> Iterator[ExpVec]:
-    """All exponent vectors of exact weighted degree, in no particular order."""
-    n = ring.ngens
-
-    def rec(i: int, remaining: int, prefix: list[int]) -> Iterator[ExpVec]:
-        if i == n:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        d = ring.degrees[i]
-        if i == n - 1:
-            if remaining % d == 0:
-                yield tuple(prefix + [remaining // d])
-            return
-        for e in range(remaining // d + 1):
-            yield from rec(i + 1, remaining - e * d, prefix + [e])
-
-    if degree == 0:
-        yield (0,) * n
-        return
-    if n == 0:
-        return
-    yield from rec(0, degree, [])
-
-
 class Element:
     """An element of a presented quotient ring, stored in normal form."""
 
@@ -583,9 +615,8 @@ def verify_cell_dimensions(
 
     Raises :class:`ModuleBasisError` at the first degree where they differ.
     """
-    base_dims = [base.dimension(m) for m in range(top + 1)]
-    for m in range(top + 1):
+    base_dims = base.dimensions(top)
+    for m, got in enumerate(pres.dimensions(top)):
         want = sum(c * base_dims[m - e] for e, c in enumerate(cells[:m + 1]))
-        got = pres.dimension(m)
         if got != want:
             raise ModuleBasisError(f"{what} fails freeness at degree {m}: {got} != {want}")

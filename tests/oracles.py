@@ -42,7 +42,8 @@ def naive_pow(a: Polynomial, k: int) -> Polynomial:
 # -- degreewise F2 ideal membership -----------------------------------------------
 
 
-def _monomials(ring: PolyRing, degree: int) -> list[tuple]:
+def monomials_of_degree(ring: PolyRing, degree: int) -> list[tuple]:
+    """Every exponent vector of exact weighted degree, in lexicographic order."""
     found: list[tuple] = []
 
     def rec(i: int, rest: int, prefix: list[int]) -> None:
@@ -68,7 +69,7 @@ def f2_ideal_member(ring: PolyRing, relations: list[Polynomial],
     if p.is_zero():
         return True
     degree = p.degree()
-    index = {m: i for i, m in enumerate(_monomials(ring, degree))}
+    index = {m: i for i, m in enumerate(monomials_of_degree(ring, degree))}
 
     def vec(terms: dict) -> int:
         v = 0
@@ -82,7 +83,7 @@ def f2_ideal_member(ring: PolyRing, relations: list[Polynomial],
         shift = degree - r.degree()
         if shift < 0:
             continue
-        for m in _monomials(ring, shift):
+        for m in monomials_of_degree(ring, shift):
             prod = naive_mul_terms({m: 1}, r.terms, True)
             rows.append(vec(prod))
     target = vec(p.terms)
@@ -101,13 +102,13 @@ def f2_ideal_member(ring: PolyRing, relations: list[Polynomial],
 def f2_quotient_dimension(ring: PolyRing, relations: list[Polynomial],
                           degree: int) -> int:
     """dim of (free ring / ideal) in one degree, by rank over F2."""
-    index = {m: i for i, m in enumerate(_monomials(ring, degree))}
+    index = {m: i for i, m in enumerate(monomials_of_degree(ring, degree))}
     rows: list[int] = []
     for r in relations:
         shift = degree - r.degree()
         if shift < 0:
             continue
-        for m in _monomials(ring, shift):
+        for m in monomials_of_degree(ring, shift):
             prod = naive_mul_terms({m: 1}, r.terms, True)
             v = 0
             for e, c in prod.items():
@@ -124,6 +125,21 @@ def f2_quotient_dimension(ring: PolyRing, relations: list[Polynomial],
             if j != i and rows[j] >> pivot & 1:
                 rows[j] ^= row
     return len(index) - rank
+
+
+# -- standard monomials by enumeration ----------------------------------------------
+
+
+def standard_monomials(pres, degree: int) -> list[tuple]:
+    """Monomials of one degree that no lead of the completed ``pres`` divides,
+    in graded-lex order, found by testing every monomial against every lead."""
+    if degree < 0 or (pres.truncation is not None and degree > pres.truncation):
+        return []
+    leads = pres.leading_exponent_set()
+    out = [m for m in monomials_of_degree(pres.ring, degree)
+           if not any(all(x <= y for x, y in zip(lead, m)) for lead in leads)]
+    out.sort(key=pres.ring.order_key)
+    return out
 
 
 # -- Gaussian binomial by power series --------------------------------------------

@@ -39,9 +39,9 @@ from tcbundles.obstruct import (
     sphere_quotient_ring,
 )
 from tcbundles.polyalg import Polynomial
-from tcbundles.ringquot import _monomials_of_degree
 
 from oracles import f2_ideal_member
+from oracles import monomials_of_degree as _monomials_of_degree
 from test_obstruct import random_real_bundle
 
 

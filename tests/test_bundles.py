@@ -28,9 +28,9 @@ from tcbundles import (
     reduce_mod2,
     trivial_bundle,
 )
-from tcbundles.ringquot import _monomials_of_degree
 
 from oracles import gaussian_binomial_series
+from oracles import monomials_of_degree as _monomials_of_degree
 
 
 def rp_base(m: int) -> Presentation:

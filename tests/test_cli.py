@@ -1,5 +1,7 @@
 """End-to-end command line tests: parsing, criteria output, dumps, planner."""
 
+import pytest
+
 from tcbundles import Coeffs, KField, PolyRing, render_polynomial
 from tcbundles.cli import main, parse_spec_file, run_criteria
 from tcbundles.geomplan import MAX_SAMPLE_COORDINATES
@@ -264,6 +266,44 @@ def test_bad_class_key_reports_line(tmp_path, capsys):
     assert code == 2
     assert f"{path}:7:" in err
     assert "w3" in err  # the message shows the expected shape
+
+
+@pytest.mark.parametrize("text,line,key", [
+    ("field = R\nfield = C\nrank = 2\n", 2, "field"),
+    ("field = R\nrank = 3\nrank = 2\n", 3, "rank"),
+    ("field = C\nrank = 2\ncoeffs = z\ncoeffs = f2\n", 4, "coeffs"),
+    ("field = C\nrank = 2\ncoeffs = z\n[options]\ncoeffs = f2\n", 5, "coeffs"),
+    ("field = R\nrank = 2\n[base]\ngenerator a 1\ntruncation 4\ntruncation 6\n",
+     6, "truncation"),
+    ("field = R\nrank = 2\n[options]\nkmax = 3\nkmax = 5\n", 5, "kmax"),
+    ("field = R\nrank = 2\n[base]\ngenerator a 1\nrelation a^3\n"
+     "[classes]\nw1 = a\nw1 = 0\n", 8, "w1"),
+    ("field = R\nrank = 2\n[base]\ngenerator a 1\nrelation a^3\n"
+     "[classes]\nw2 = a^2\nw02 = 0\n", 8, "w2"),
+], ids=["field", "rank", "coeffs", "coeffs_in_options", "truncation", "kmax", "w1", "w02"])
+def test_duplicate_key_reports_line(tmp_path, capsys, text, line, key):
+    path = write_spec(tmp_path, text)
+    code, out, err = run_cli(capsys, "criteria", path, "--machine")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:{line}: duplicate {key}\n"
+
+
+def test_coeffs_flag_lets_the_file_repeat_coeffs(tmp_path, capsys):
+    path = write_spec(tmp_path, "field = C\nrank = 2\ncoeffs = z\n[options]\ncoeffs = z\n")
+    code, out, err = run_cli(capsys, "criteria", path, "--machine", "--coeffs", "f2")
+    assert code == 0 and err == ""
+    assert "proj_pair_z.min_k" not in machine_map(out)
+
+
+def test_class_index_above_rank_reports_line(tmp_path, capsys):
+    path = write_spec(
+        tmp_path,
+        "field = R\nrank = 2\n[base]\ngenerator x 1\nrelation x^3\n"
+        "[classes]\nw1 = x\nw7 = x^7\n",
+    )
+    code, out, err = run_cli(capsys, "criteria", path, "--machine")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:8: class index 7 outside 1..2\n"
 
 
 def test_missing_file_exits_2(capsys):

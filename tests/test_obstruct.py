@@ -43,9 +43,9 @@ from tcbundles.obstruct import (
     symm_proj_powers,
     symm_sphere_powers,
 )
-from tcbundles.ringquot import _monomials_of_degree
 
 from oracles import f2_ideal_member
+from oracles import monomials_of_degree as _monomials_of_degree
 
 
 def truncated_base(gens, truncation):

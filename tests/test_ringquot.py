@@ -19,9 +19,11 @@ from tcbundles import (
     point_presentation,
     verify_free_basis,
 )
-from tcbundles.ringquot import _monomials_of_degree, verify_cell_dimensions
+from tcbundles.ringquot import verify_cell_dimensions
 
 from oracles import f2_ideal_member, f2_quotient_dimension, tower_normal_form
+from oracles import monomials_of_degree as _monomials_of_degree
+from oracles import standard_monomials as oracle_standard_monomials
 
 
 def milnor_ring(n: int) -> Presentation:
@@ -362,13 +364,14 @@ def test_derived_sub_presentation_keeps_base_relations():
 # -- one reducer: integral towers against the stack oracle ------------------------
 
 
-def random_integral_tower(rng):
+def random_integral_tower(rng, skip=0.2):
     """Relations +-g^m + tail over Z, one per designated generator, with the
-    tail in earlier generators and lower powers of g."""
+    tail in earlier generators and lower powers of g; each generator goes
+    without a relation with probability ``skip``."""
     ring = PolyRing(Coeffs.INT, [(f"g{i}", rng.choice((2, 4))) for i in range(3)])
     rels = []
     for i in range(ring.ngens):
-        if rng.random() < 0.2:
+        if rng.random() < skip:
             continue  # a generator without a relation
         m = rng.randint(1, 3)
         degree = m * ring.degrees[i]
@@ -471,3 +474,85 @@ def test_mixed_degree_completion_matches_oracles(seed):
     rng.shuffle(shuffled)
     again = Presentation(ring, shuffled, Strategy.GROEBNER_F2, top).complete()
     assert again.relations == pres.relations
+
+
+# -- the dimension walk against the enumeration oracle -----------------------------
+
+
+def check_walk_against_oracle(pres, top, bound):
+    """``dimensions``, ``standard_monomials`` and ``top_degree`` of ``pres``
+    against brute-force enumeration in degrees up to ``top``; ``bound`` is a
+    degree above which every graded piece is zero."""
+    want = [oracle_standard_monomials(pres, m) for m in range(top + 1)]
+    assert pres.dimensions(top) == [len(w) for w in want]
+    assert pres.dimensions(top // 2) == [len(w) for w in want[:top // 2 + 1]]
+    for m in range(-1, top + 2):
+        assert pres.standard_monomials(m) == oracle_standard_monomials(pres, m), m
+        assert pres.dimension(m) == len(oracle_standard_monomials(pres, m)), m
+    scan = next((m for m in range(bound, -1, -1) if oracle_standard_monomials(pres, m)), -1)
+    assert pres.top_degree() == scan
+    # a fresh copy that first walks a short way and then further
+    fresh = Presentation(pres.ring, pres.relations, pres.strategy, pres.truncation,
+                         _completed=True)
+    assert fresh.dimensions(1) == [len(w) for w in want[:2]]
+    assert fresh.dimensions(top) == [len(w) for w in want]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_walk_matches_oracle_on_random_truncated_f2(seed):
+    rng = random.Random(seed)
+    degrees = [rng.choice((1, 2, 3)) for _ in range(rng.randint(3, 5))]
+    ring = PolyRing(Coeffs.F2, [(f"x{i}", d) for i, d in enumerate(degrees)])
+    truncation = rng.randint(6, 10)
+    rels = []
+    for _ in range(rng.randint(2, 5)):
+        monos = []
+        while not monos:
+            monos = _monomials_of_degree(ring, rng.randint(2, 5))
+        picked = rng.sample(monos, min(rng.randint(1, 3), len(monos)))
+        rels.append(Polynomial(ring, {e: 1 for e in picked}))
+    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, truncation).complete()
+    check_walk_against_oracle(pres, truncation + 2, truncation)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_walk_matches_oracle_on_random_integral_towers(seed):
+    rng = random.Random(seed)
+    ring, rels = random_integral_tower(rng, skip=0.0)
+    pres = Presentation(ring, rels, Strategy.MONIC_TOWER).complete()
+    # every generator has a pure-power lead g^m, so nothing survives above
+    # the sum of (m - 1) deg g
+    bound = sum(r.degree() - d for r, d in zip(rels, ring.degrees))
+    check_walk_against_oracle(pres, bound + 2, bound)
+
+
+def test_walk_on_the_point_and_the_zero_ring():
+    point = point_presentation(Coeffs.INT)
+    check_walk_against_oracle(point, 3, 0)
+    assert point.dimensions(3) == [1, 0, 0, 0]
+    assert point.standard_monomials(0) == [()]
+    ring = PolyRing(Coeffs.F2, [("x", 1), ("y", 2)])
+    zero = Presentation(ring, [ring.one()], Strategy.GROEBNER_F2, 4).complete()
+    check_walk_against_oracle(zero, 5, 4)
+    assert zero.dimensions(4) == [0] * 5 and zero.top_degree() == -1
+
+
+def test_walk_outside_the_degree_range():
+    # F2[x:1, y:2]/(x^3) truncated at 5
+    ring = PolyRing(Coeffs.F2, [("x", 1), ("y", 2)])
+    pres = Presentation(ring, [ring.parse("x^3")], Strategy.GROEBNER_F2, 5).complete()
+    assert pres.dimensions(-1) == [] and pres.standard_monomials(-1) == []
+    assert pres.dimension(-3) == 0
+    assert pres.dimensions(8) == [1, 1, 2, 1, 2, 1, 0, 0, 0]
+    assert pres.dimensions(2) == [1, 1, 2]
+    assert pres.standard_monomials(4) == [(2, 1), (0, 2)]
+    assert pres.standard_monomials(6) == [] and pres.dimension(7) == 0
+
+
+def test_walk_needs_a_completed_presentation():
+    ring = PolyRing(Coeffs.F2, [("x", 1)])
+    raw = Presentation(ring, [ring.parse("x^3")], Strategy.GROEBNER_F2, 5)
+    with pytest.raises(PresentationError):
+        raw.dimensions(3)
+    with pytest.raises(PresentationError):
+        raw.standard_monomials(2)
