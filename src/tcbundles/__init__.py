@@ -27,7 +27,6 @@ from .bundles import (
 )
 from .geomplan import (
     GeometryError,
-    KScalar,
     Planner,
     PlannerReport,
     PlannerRule,

@@ -371,30 +371,14 @@ def gaussian_binomial_two(m: int) -> list[int]:
     """Coefficients of the Gaussian binomial [m choose 2]_q.
 
     Coefficient e counts the fibre cells of the plane Grassmannian in degree
-    d*e; used for the degreewise freeness check.  Computed by the Pascal rule
-    G(m, r) = G(m-1, r-1) + q^r G(m-1, r).
+    d*e; used for the degreewise freeness check.  It counts the pairs
+    0 <= i < j < m with i + j - 1 = e.
     """
-    table: dict[tuple[int, int], list[int]] = {}
-
-    def g(mm: int, rr: int) -> list[int]:
-        if rr < 0 or rr > mm:
-            return [0]
-        if rr == 0 or rr == mm:
-            return [1]
-        key = (mm, rr)
-        if key not in table:
-            left = g(mm - 1, rr - 1)
-            right = g(mm - 1, rr)
-            size = max(len(left), len(right) + rr)
-            coeffs = [0] * size
-            for e, c in enumerate(left):
-                coeffs[e] += c
-            for e, c in enumerate(right):
-                coeffs[e + rr] += c
-            table[key] = coeffs
-        return table[key]
-
-    return g(m, 2)
+    coeffs = [0] * max(2 * m - 3, 1)
+    for j in range(1, m):
+        for i in range(j):
+            coeffs[i + j - 1] += 1
+    return coeffs
 
 
 def _plane_cells(b: BundleSpec) -> list[int]:

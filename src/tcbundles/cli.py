@@ -109,9 +109,10 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
     field: KField | None = None
     rank: int | None = None
     coeffs: Coeffs | None = coeffs_override
-    generators: list[tuple[str, int]] = []
+    generators: list[tuple[str, int, int]] = []  # (name, degree, line)
     relations: list[tuple[str, int]] = []  # (expression, line)
     truncation: int | None = None
+    truncation_line = 0
     classes: list[tuple[int, str, int]] = []  # (index, expression, line)
     k_max: int | None = None
     section = ""
@@ -156,7 +157,7 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
                 if len(parts) != 3:
                     raise SpecFileError("usage: generator <name> <degree>", path, line_no)
                 try:
-                    generators.append((parts[1], int(parts[2])))
+                    generators.append((parts[1], int(parts[2]), line_no))
                 except ValueError as exc:
                     raise SpecFileError("generator degree must be an integer", path, line_no) from exc
             elif line.lower().startswith("relation"):
@@ -170,6 +171,7 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
                     raise SpecFileError("usage: truncation <degree>", path, line_no)
                 truncation = _parse_header_value("truncation", parts[1], path, line_no)
                 once("truncation", line_no)
+                truncation_line = line_no
             else:
                 raise SpecFileError(f"unknown base entry {line!r}", path, line_no)
         elif section == "classes":
@@ -203,10 +205,16 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
     if coeffs is None:
         coeffs = Coeffs.F2 if field is KField.R else Coeffs.INT
 
-    try:
-        ring = PolyRing(coeffs, generators)
-    except (GradingError, ValueError) as exc:
-        raise SpecFileError(str(exc), path) from exc
+    if truncation is not None and coeffs is not Coeffs.F2:
+        raise SpecFileError(f"truncation needs coeffs = f2, got {coeffs.value.lower()}",
+                            path, truncation_line)
+    # one generator at a time, so an error carries the line of its generator
+    ring = PolyRing(coeffs, [])
+    for name, degree, line_no in generators:
+        try:
+            ring = ring.with_generators([(name, degree)])
+        except GradingError as exc:
+            raise SpecFileError(str(exc), path, line_no) from exc
 
     rel_polys = []
     for expr, line_no in relations:

@@ -17,13 +17,20 @@ lines) are rejected, not perturbed.
 
 Broadcasting.  The sphere kernels (``_c_raw``, ``_sigma_raw``, ``_pi_raw``,
 ``_pi_inverse_raw``) and ``complex_structure`` take points as ``(..., dim)``
-arrays and broadcast over the leading axes; a path parameter ``t`` broadcasts
-against those leading axes, so ``t`` of shape ``(T, 1)`` with points of shape
+arrays and broadcast over the leading axes.  So do the projective maps:
+``ProjPoint`` holds one line per leading index of a ``(..., m, d)`` array,
+``k_inner`` sums over axis -2 and ``k_scalar_mul`` multiplies ``(..., m, d)``
+vectors by ``(..., d)`` scalars, and ``line_error``, ``lines_equal``,
+``display_rep`` and the projective charts (``proj_rho``, ``proj_sigma``,
+``proj_pi_map``, ``proj_pi_inverse``) run on such batches.  A path parameter ``t`` broadcasts
+against the leading axes, so ``t`` of shape ``(T, 1)`` with points of shape
 ``(B, dim)`` gives paths of shape ``(T, B, dim)``.  A batch raises
-``GeometryError`` if any of its rows is degenerate.  The single-point
+``GeometryError`` if any of its rows is degenerate.  The single-point sphere
 functions (``geodesic_c``, ``rho_sphere``, ``sigma_sphere``, ``pi_map``,
 ``pi_inverse``) and ``Planner.plan`` run the same kernels on one row, and
-``verify_planner`` runs them over blocks of sampled rows.
+``verify_planner`` and both chart roundtrips run them over batches of sampled
+rows.  ``SpherePoint`` stays one point: it rejects a 2-D array instead of
+reading it as a batch, and batched sphere code passes raw arrays.
 """
 
 from __future__ import annotations
@@ -85,44 +92,13 @@ def k_conj(field: KField, a: np.ndarray) -> np.ndarray:
 
 
 def k_inner(field: KField, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<u, v> = sum_i u_i * conj(v_i), a K-scalar of shape (d,)."""
-    return np.sum(k_mul(field, u, k_conj(field, v)), axis=0)
+    """<u, v> = sum_i u_i * conj(v_i) for (..., m, d) vectors, a (..., d) K-scalar."""
+    return np.sum(k_mul(field, u, k_conj(field, v)), axis=-2)
 
 
 def k_scalar_mul(field: KField, q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Left multiplication (q u)_i = q * u_i."""
-    return k_mul(field, np.broadcast_to(q, u.shape), u)
-
-
-class KScalar:
-    """A scalar in R, C or H with exact component arithmetic."""
-
-    __slots__ = ("field", "comps")
-
-    def __init__(self, field: KField, comps: Sequence[float]):
-        arr = np.asarray(comps, dtype=float)
-        if arr.shape != (field.d,):
-            raise GeometryError(f"need {field.d} components for {field.tag}")
-        self.field = field
-        self.comps = arr
-
-    def __mul__(self, other: "KScalar") -> "KScalar":
-        return KScalar(self.field, k_mul(self.field, self.comps, other.comps))
-
-    def __add__(self, other: "KScalar") -> "KScalar":
-        return KScalar(self.field, self.comps + other.comps)
-
-    def __sub__(self, other: "KScalar") -> "KScalar":
-        return KScalar(self.field, self.comps - other.comps)
-
-    def conj(self) -> "KScalar":
-        return KScalar(self.field, k_conj(self.field, self.comps))
-
-    def __abs__(self) -> float:
-        return float(np.linalg.norm(self.comps))
-
-    def __repr__(self) -> str:
-        return f"KScalar({self.field.tag}, {self.comps.tolist()})"
+    """Left multiplication (q u)_i = q * u_i of (..., m, d) vectors by (..., d) scalars."""
+    return k_mul(field, np.asarray(q)[..., None, :], u)
 
 
 # -- validated points --------------------------------------------------------------
@@ -135,7 +111,10 @@ def _coords(p: "SpherePoint | np.ndarray") -> np.ndarray:
 
 
 class SpherePoint:
-    """A unit vector in R^(n+1), checked to 1e-12 at construction."""
+    """A unit vector in R^(n+1), checked to 1e-12 at construction.
+
+    One point only: the sphere kernels take raw (..., dim) arrays, and a 2-D
+    array here is rejected rather than read as a batch."""
 
     __slots__ = ("coords",)
 
@@ -151,43 +130,50 @@ class SpherePoint:
         return f"SpherePoint({self.coords.tolist()})"
 
 
+def _line_norms(rep: np.ndarray) -> np.ndarray:
+    """Norm of each (m, d) representative, over the leading axes."""
+    return np.linalg.norm(rep, axis=(-2, -1))
+
+
 class ProjPoint:
-    """A K-line through a stored unit representative."""
+    """K-lines through stored unit representatives, one per leading index of
+    a (..., m, d) array."""
 
     __slots__ = ("field", "rep")
 
     def __init__(self, field: KField, rep: np.ndarray):
         arr = np.asarray(rep, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != field.d:
-            raise GeometryError(f"representative must have shape (m, {field.d})")
-        norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > GEOM_TOL:
+        if arr.ndim < 2 or arr.shape[-1] != field.d:
+            raise GeometryError(f"representative must have shape (..., m, {field.d})")
+        norm = _line_norms(arr)
+        if np.any(np.abs(norm - 1.0) > GEOM_TOL):
             raise GeometryError("line representative is not a unit vector")
         self.field = field
-        self.rep = arr / norm
+        self.rep = arr / norm[..., None, None]
 
     def display_rep(self) -> np.ndarray:
         """Representative with the largest component rotated real-positive.
 
         Display convention only; all comparisons are phase-invariant.
         """
-        norms = np.linalg.norm(self.rep, axis=1)
-        i = int(np.argmax(norms))
-        q = k_conj(self.field, self.rep[i] / norms[i])
+        norms = np.linalg.norm(self.rep, axis=-1)
+        i = np.argmax(norms, axis=-1)[..., None]
+        top = np.take_along_axis(self.rep, i[..., None], axis=-2)[..., 0, :]
+        q = k_conj(self.field, top / np.take_along_axis(norms, i, axis=-1))
         return k_scalar_mul(self.field, q, self.rep)
 
     def __repr__(self) -> str:
         return f"ProjPoint({self.field.tag}, {self.display_rep().tolist()})"
 
 
-def line_error(p: ProjPoint, q: ProjPoint) -> float:
-    """0 when the lines agree; 1 - |<u, v>| in general."""
+def line_error(p: ProjPoint, q: ProjPoint) -> np.ndarray:
+    """0 when the lines agree; 1 - |<u, v>| in general, per leading index."""
     if p.field is not q.field:
         raise GeometryError("lines over different scalar fields")
-    return 1.0 - float(np.linalg.norm(k_inner(p.field, p.rep, q.rep)))
+    return 1.0 - np.linalg.norm(k_inner(p.field, p.rep, q.rep), axis=-1)
 
 
-def lines_equal(p: ProjPoint, q: ProjPoint, tol: float = GEOM_TOL) -> bool:
+def lines_equal(p: ProjPoint, q: ProjPoint, tol: float = GEOM_TOL) -> np.ndarray:
     return line_error(p, q) <= tol
 
 
@@ -286,36 +272,38 @@ def pi_inverse(x, y) -> tuple[SpherePoint, SpherePoint, np.ndarray]:
 # -- projective-space analogues ------------------------------------------------------
 
 
-def proj_rho(t: float, line_l: ProjPoint, line_m: ProjPoint) -> ProjPoint:
+def proj_rho(t: float | np.ndarray, line_l: ProjPoint, line_m: ProjPoint) -> ProjPoint:
     """Geodesic between non-orthogonal lines: phase-align the second
     representative so the inner product is real positive, then run the real
     great-circle arc; rho(1) = L, rho(-1) = M."""
     field = line_l.field
     u, v0 = line_l.rep, line_m.rep
     inner = k_inner(field, u, v0)
-    mag = float(np.linalg.norm(inner))
-    if mag <= GEOM_TOL:
+    mag = np.linalg.norm(inner, axis=-1)
+    if np.any(mag <= GEOM_TOL):
         raise GeometryError("projective geodesic undefined for orthogonal lines")
-    v = k_scalar_mul(field, inner / mag, v0)
-    point = _c_raw((1.0 - t) / 2.0, u.reshape(-1), v.reshape(-1))
-    return ProjPoint(field, point.reshape(u.shape))
+    v = k_scalar_mul(field, inner / mag[..., None], v0)
+    point = _c_raw((1.0 - np.asarray(t, dtype=float)) / 2.0,
+                   u.reshape(u.shape[:-2] + (-1,)), v.reshape(v.shape[:-2] + (-1,)))
+    return ProjPoint(field, point.reshape(point.shape[:-1] + u.shape[-2:]))
 
 
-def proj_sigma(a_of_u: np.ndarray, t: float, line_l: ProjPoint, line_m: ProjPoint) -> ProjPoint:
+def proj_sigma(
+    a_of_u: np.ndarray, t: float | np.ndarray, line_l: ProjPoint, line_m: ProjPoint
+) -> ProjPoint:
     """Path from L (t=1) to M (t=-1) determined by an isometry a: L -> M,
     through the line of sin(pi(t+1)/4) u + cos(pi(t+1)/4) a(u)."""
     field = line_l.field
     u, v = line_l.rep, line_m.rep
     a_u = np.asarray(a_of_u, dtype=float)
-    if np.linalg.norm(k_inner(field, u, v)) > GEOM_TOL:
+    if np.any(np.linalg.norm(k_inner(field, u, v), axis=-1) > GEOM_TOL):
         raise GeometryError("lines must be orthogonal")
-    if abs(np.linalg.norm(a_u) - 1.0) > GEOM_TOL:
+    if np.any(np.abs(_line_norms(a_u) - 1.0) > GEOM_TOL):
         raise GeometryError("a must be an isometry (|a(u)| = |u|)")
-    if 1.0 - float(np.linalg.norm(k_inner(field, a_u, v))) > GEOM_TOL:
+    if np.any(1.0 - np.linalg.norm(k_inner(field, a_u, v), axis=-1) > GEOM_TOL):
         raise GeometryError("a(u) must lie on the target line")
-    angle = np.pi * (t + 1.0) / 4.0
-    rep = np.sin(angle) * u + np.cos(angle) * a_u
-    return ProjPoint(field, rep)
+    angle = np.pi * (np.asarray(t, dtype=float)[..., None, None] + 1.0) / 4.0
+    return ProjPoint(field, np.sin(angle) * u + np.cos(angle) * a_u)
 
 
 def proj_pi_map(
@@ -326,16 +314,17 @@ def proj_pi_map(
     field = line_l.field
     u, v = line_l.rep, line_m.rep
     a_u = np.asarray(a_of_u, dtype=float)
-    if np.linalg.norm(k_inner(field, u, v)) > GEOM_TOL:
+    if np.any(np.linalg.norm(k_inner(field, u, v), axis=-1) > GEOM_TOL):
         raise GeometryError("lines must be orthogonal")
-    norm_a = float(np.linalg.norm(a_u))
-    if norm_a > 1.0 + SCALAR_TOL:
+    norm_a = _line_norms(a_u)
+    if np.any(norm_a > 1.0 + SCALAR_TOL):
         raise GeometryError("|a| must be at most 1")
-    if norm_a > GEOM_TOL and 1.0 - float(np.linalg.norm(k_inner(field, a_u, v))) / norm_a > GEOM_TOL:
+    on_target = np.linalg.norm(k_inner(field, a_u, v), axis=-1)
+    if np.any((norm_a > GEOM_TOL) & (on_target < (1.0 - GEOM_TOL) * norm_a)):
         raise GeometryError("a(u) must lie on the target line")
     # a*(v) = <v, a(u)> u by the defining adjoint identity for left lines
     a_star_v = k_scalar_mul(field, k_inner(field, v, a_u), u)
-    scale = 1.0 / np.sqrt(1.0 + norm_a * norm_a)
+    scale = 1.0 / np.sqrt(1.0 + norm_a * norm_a)[..., None, None]
     return (
         ProjPoint(field, (u + a_u) * scale),
         ProjPoint(field, (v + a_star_v) * scale),
@@ -348,23 +337,25 @@ def proj_pi_inverse(
     """Unique chart preimage (L, M, a), |a| < 1, of a pair of distinct lines.
 
     Phases are fixed so <x, y> is real and nonnegative; the scale t of a
-    solves 2t/(1+t^2) = <x, y> inside [0, 1).
+    solves 2t/(1+t^2) = <x, y> inside [0, 1).  Orthogonal lines are their own
+    preimage, with a = 0.
     """
     field = line_x.field
     x, y0 = line_x.rep, line_y.rep
     inner = k_inner(field, x, y0)
-    mag = float(np.linalg.norm(inner))
-    if mag >= 1.0 - GEOM_TOL:
+    mag = np.linalg.norm(inner, axis=-1)
+    if np.any(mag >= 1.0 - GEOM_TOL):
         raise GeometryError("chart inverse undefined for equal lines")
-    if mag <= SCALAR_TOL:
-        return line_x, line_y, np.zeros_like(x)
-    y = k_scalar_mul(field, inner / mag, y0)
-    t = mag / (1.0 + np.sqrt(1.0 - mag * mag))
+    orthogonal = mag <= SCALAR_TOL
+    phase = np.where(orthogonal[..., None], np.eye(field.d)[0],
+                     inner / np.maximum(mag, SCALAR_TOL)[..., None])
+    y = k_scalar_mul(field, phase, y0)
+    t = np.where(orthogonal, 0.0, mag / (1.0 + np.sqrt(1.0 - mag * mag)))[..., None, None]
     factor = np.sqrt(1.0 + t * t) / (1.0 - t * t)
     u = (x - t * y) * factor
     v = (y - t * x) * factor
-    u /= np.linalg.norm(u)
-    v /= np.linalg.norm(v)
+    u /= _line_norms(u)[..., None, None]
+    v /= _line_norms(v)[..., None, None]
     return ProjPoint(field, u), ProjPoint(field, v), t * v
 
 
@@ -492,9 +483,12 @@ class PlannerReport:
         ]
 
 
+def _unit_rows(vecs: np.ndarray) -> np.ndarray:
+    return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+
+
 def _random_units(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    vecs = rng.standard_normal((count, dim))
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    return _unit_rows(rng.standard_normal((count, dim)))
 
 
 def _blocks(count: int, row_coords: int):
@@ -614,64 +608,56 @@ def sphere_roundtrip_error(n: int, samples: int, seed: int) -> float:
     """Worst error of the two chart compositions on random sphere data."""
     rng = np.random.default_rng(seed)
     dim = n + 1
-    worst = 0.0
-    for _ in range(samples):
-        u = _random_units(rng, 1, dim)[0]
-        raw = rng.standard_normal(dim)
-        w_dir = raw - np.dot(raw, u) * u
-        w_dir /= np.linalg.norm(w_dir)
-        w = float(rng.uniform(0.0, 0.95)) * w_dir
-        x, y = pi_map(u, -u, w)
-        u2, v2, w2 = pi_inverse(x, y)
-        worst = max(worst, float(np.linalg.norm(u2.coords - u)))
-        worst = max(worst, float(np.linalg.norm(v2.coords + u)))
-        worst = max(worst, float(np.linalg.norm(w2 - w)))
+    # drawn sample by sample: one draw per array would reorder the stream
+    # and change the data each seed samples
+    draws = [(rng.standard_normal((2, dim)), rng.uniform(0.0, 0.95),
+              rng.standard_normal((2, dim))) for _ in range(samples)]
+    first, scale, second = (np.array(part) for part in zip(*draws))
 
-        x3, y3 = _random_units(rng, 2, dim)
-        if np.linalg.norm(x3 - y3) <= 1e-6:
-            continue
-        u3, v3, w3 = pi_inverse(x3, y3)
-        x4, y4 = pi_map(u3, v3, w3)
-        worst = max(worst, float(np.linalg.norm(x4.coords - x3)))
-        worst = max(worst, float(np.linalg.norm(y4.coords - y3)))
-    return worst
+    u = _unit_rows(first[:, 0])
+    raw = first[:, 1]
+    w = scale[:, None] * _unit_rows(raw - _dot(raw, u)[:, None] * u)
+    x, y = (_unit_rows(p) for p in _pi_raw(u, w))
+    u2, w2 = _pi_inverse_raw(x, y)
+    worst = max(_max_distance(u2, u), _max_distance(w2, w))
+
+    x3, y3 = _unit_rows(second[:, 0]), _unit_rows(second[:, 1])
+    keep = np.linalg.norm(x3 - y3, axis=-1) > 1e-6
+    x3, y3 = x3[keep], y3[keep]
+    x4, y4 = _pi_raw(*_pi_inverse_raw(x3, y3))
+    return max(worst, _max_distance(_unit_rows(x4), x3), _max_distance(_unit_rows(y4), y3))
 
 
-def _random_line(field: KField, m: int, rng: np.random.Generator) -> ProjPoint:
-    rep = rng.standard_normal((m, field.d))
-    return ProjPoint(field, rep / np.linalg.norm(rep))
+def _unit_lines(reps: np.ndarray) -> np.ndarray:
+    return reps / _line_norms(reps)[..., None, None]
 
 
 def _orthogonalize(field: KField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = y - k_scalar_mul(field, k_conj(field, k_inner(field, x, y)), x)
-    return out / np.linalg.norm(out)
+    return _unit_lines(y - k_scalar_mul(field, k_conj(field, k_inner(field, x, y)), x))
 
 
 def proj_roundtrip_error(field: KField, m: int, samples: int, seed: int) -> float:
     """Worst line error of the two projective chart compositions."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        line_l = _random_line(field, m, rng)
-        v = _orthogonalize(field, line_l.rep, rng.standard_normal((m, field.d)))
-        line_m = ProjPoint(field, v)
-        q = rng.standard_normal(field.d)
-        q /= np.linalg.norm(q)
-        a_u = float(rng.uniform(0.0, 0.95)) * k_scalar_mul(field, q, v)
-        x, y = proj_pi_map(line_l, line_m, a_u)
-        l2, m2, a2 = proj_pi_inverse(x, y)
-        worst = max(worst, line_error(l2, line_l))
-        worst = max(worst, line_error(m2, line_m))
-        # transport a through the representative change l2.rep ~ q * l.rep
-        phase = k_inner(field, l2.rep, line_l.rep)
-        worst = max(worst, float(np.linalg.norm(a2 - k_scalar_mul(field, phase, a_u))))
+    shape = (2, m, field.d)
+    # drawn sample by sample: one draw per array would reorder the stream
+    # and change the data each seed samples
+    draws = [(rng.standard_normal(shape), rng.standard_normal(field.d),
+              rng.uniform(0.0, 0.95), rng.standard_normal(shape)) for _ in range(samples)]
+    first, q, scale, second = (np.array(part) for part in zip(*draws))
 
-        line_x = _random_line(field, m, rng)
-        line_y = _random_line(field, m, rng)
-        if 1.0 - line_error(line_x, line_y) >= 1.0 - 1e-6:
-            continue
-        l3, m3, a3 = proj_pi_inverse(line_x, line_y)
-        x4, y4 = proj_pi_map(l3, m3, a3)
-        worst = max(worst, line_error(x4, line_x))
-        worst = max(worst, line_error(y4, line_y))
-    return worst
+    line_l = ProjPoint(field, _unit_lines(first[:, 0]))
+    line_m = ProjPoint(field, _orthogonalize(field, line_l.rep, first[:, 1]))
+    a_u = scale[:, None, None] * k_scalar_mul(field, _unit_rows(q), line_m.rep)
+    l2, m2, a2 = proj_pi_inverse(*proj_pi_map(line_l, line_m, a_u))
+    # transport a through the representative change l2.rep ~ q * l.rep
+    phase = k_inner(field, l2.rep, line_l.rep)
+    errors = [line_error(l2, line_l), line_error(m2, line_m),
+              _line_norms(a2 - k_scalar_mul(field, phase, a_u))]
+
+    xs, ys = _unit_lines(second[:, 0]), _unit_lines(second[:, 1])
+    keep = np.linalg.norm(k_inner(field, xs, ys), axis=-1) < 1.0 - 1e-6
+    line_x, line_y = ProjPoint(field, xs[keep]), ProjPoint(field, ys[keep])
+    x4, y4 = proj_pi_map(*proj_pi_inverse(line_x, line_y))
+    errors += [line_error(x4, line_x), line_error(y4, line_y)]
+    return max(float(np.max(e, initial=0.0)) for e in errors)

@@ -210,13 +210,6 @@ class Polynomial:
         degs = {self.ring.weighted_degree(e) for e in self._terms}
         return len(degs) <= 1
 
-    def homogeneous_part(self, degree: int) -> "Polynomial":
-        picked = {
-            e: c for e, c in self._terms.items()
-            if self.ring.weighted_degree(e) == degree
-        }
-        return Polynomial(self.ring, picked)
-
     def leading_exponents(self) -> ExpVec:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")

@@ -288,6 +288,33 @@ def test_duplicate_key_reports_line(tmp_path, capsys, text, line, key):
     assert err == f"error: {path}:{line}: duplicate {key}\n"
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("field = R\nrank = 2\n[base]\ngenerator x 1\ngenerator x 2\n", 5,
+     "duplicate generator name 'x'"),
+    ("field = R\nrank = 2\n[base]\ngenerator 1x 1\n", 4, "invalid generator name '1x'"),
+    ("field = R\nrank = 2\n[base]\ngenerator x 1\ngenerator y 0\n", 5,
+     "generator 'y' needs a positive integer degree"),
+    ("field = C\nrank = 2\n[base]\ngenerator x 2\ngenerator y 3\n", 5,
+     "odd-degree generator 'y' is not supported over Z"),
+], ids=["duplicate", "invalid_name", "degree_0", "odd_degree_over_z"])
+def test_generator_error_reports_line(tmp_path, capsys, text, line, message):
+    path = write_spec(tmp_path, text)
+    code, out, err = run_cli(capsys, "criteria", path, "--machine")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    ("field = C\nrank = 2\n[base]\ngenerator a 2\ntruncation 6\n", 5),
+    ("field = R\nrank = 2\ncoeffs = z\n[base]\ngenerator a 2\ntruncation 6\n", 6),
+], ids=["default_coeffs", "coeffs_z"])
+def test_truncation_over_z_reports_line(tmp_path, capsys, text, line):
+    path = write_spec(tmp_path, text)
+    code, out, err = run_cli(capsys, "criteria", path, "--machine")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:{line}: truncation needs coeffs = f2, got z\n"
+
+
 def test_coeffs_flag_lets_the_file_repeat_coeffs(tmp_path, capsys):
     path = write_spec(tmp_path, "field = C\nrank = 2\ncoeffs = z\n[options]\ncoeffs = z\n")
     code, out, err = run_cli(capsys, "criteria", path, "--machine", "--coeffs", "f2")

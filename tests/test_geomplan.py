@@ -8,7 +8,6 @@ import pytest
 from tcbundles import (
     GeometryError,
     KField,
-    KScalar,
     Planner,
     PlannerRule,
     ProjPoint,
@@ -141,16 +140,6 @@ def test_complex_mul_matches_python_complex():
         want = complex(*a) * complex(*b)
         assert math.isclose(prod[0], want.real, abs_tol=1e-12)
         assert math.isclose(prod[1], want.imag, abs_tol=1e-12)
-
-
-def test_kscalar_wrapper():
-    z = KScalar(KField.C, [3.0, 4.0])
-    assert abs(z) == 5.0
-    assert np.allclose((z * z).comps, [-7.0, 24.0])
-    assert np.allclose((z + z.conj()).comps, [6.0, 0.0])
-    assert np.allclose((z - z).comps, [0.0, 0.0])
-    with pytest.raises(GeometryError):
-        KScalar(KField.H, [1.0, 2.0])
 
 
 def test_k_inner_conjugate_symmetry():
@@ -469,6 +458,80 @@ def test_proj_pi_inverse_equal_lines_raises():
 def test_projective_chart_roundtrips_all_fields():
     for field in (KField.R, KField.C, KField.H):
         assert proj_roundtrip_error(field, 4, 300, seed=3) < 1e-9
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("field", [KField.R, KField.C, KField.H], ids=lambda f: f.tag)
+def test_batched_projective_charts_agree_with_single_lines(field, m):
+    rng = np.random.default_rng(100 * m + field.d)
+    count = 64
+
+    def line(reps):
+        return ProjPoint(field, reps)
+
+    def unit_lines(reps):
+        return reps / np.linalg.norm(reps, axis=(-2, -1), keepdims=True)
+
+    ls = unit_lines(rng.standard_normal((count, m, field.d)))
+    others = unit_lines(rng.standard_normal((count, m, field.d)))
+    raw = rng.standard_normal(ls.shape)
+    orth = unit_lines(raw - k_scalar_mul(field, k_conj(field, k_inner(field, ls, raw)), ls))
+    q = rng.standard_normal((count, field.d))
+    isometry = k_scalar_mul(field, q / np.linalg.norm(q, axis=-1, keepdims=True), orth)
+    a_u = rng.uniform(0.0, 0.95, (count, 1, 1)) * isometry
+    t = rng.uniform(-1.0, 1.0, count)
+    grid = np.linspace(-1.0, 1.0, 3)
+    # the last pair given to the inverse is orthogonal, so it is its own preimage
+    xs = np.concatenate([others[:-1], orth[-1:]])
+
+    def charts(i):
+        l, o, p, x = line(ls[i]), line(others[i]), line(orth[i]), line(xs[i])
+        pair = proj_pi_map(l, p, a_u[i])
+        inverse = proj_pi_inverse(l, x)
+        # a (3, 1) t-grid against a batch puts the grid axis first; move it
+        # behind the rows
+        ts = grid[:, None] if isinstance(i, slice) else grid
+        on_grid = [np.moveaxis(proj_rho(ts, l, o).rep, 0, -3),
+                   np.moveaxis(proj_sigma(isometry[i], ts, l, p).rep, 0, -3)]
+        return on_grid + [
+            proj_rho(t[i], l, o).rep, proj_sigma(isometry[i], t[i], l, p).rep,
+            pair[0].rep, pair[1].rep, inverse[0].rep, inverse[1].rep, inverse[2],
+            line_error(l, o), o.display_rep(),
+        ]
+
+    batched = charts(slice(None))
+    assert batched[0].shape == (count, 3, m, field.d)
+    for i in range(count):
+        for got, want in zip(batched, charts(i), strict=True):
+            assert np.shape(got[i]) == np.shape(want)
+            assert np.max(np.abs(got[i] - want), initial=0.0) <= 1e-14
+    assert np.all(batched[-3][-1] == 0.0)
+    assert line_error(line(batched[-5][-1]), line(ls[-1])) < 1e-12
+    assert line_error(line(batched[-4][-1]), line(orth[-1])) < 1e-12
+
+    def with_bad_row(batch, row):
+        out = np.array(batch)
+        out[5] = row
+        return out
+
+    near = with_bad_row(others, orth[5])
+    skew = with_bad_row(orth, others[5])
+    long_a = with_bad_row(a_u, 1.5 * isometry[5])
+    equal = with_bad_row(xs, ls[5])
+    stretched = with_bad_row(ls, 1.1 * ls[5])
+    degenerate = [
+        lambda i: proj_rho(t[i], line(ls[i]), line(near[i])),
+        lambda i: proj_sigma(isometry[i], t[i], line(ls[i]), line(skew[i])),
+        lambda i: proj_pi_map(line(ls[i]), line(orth[i]), long_a[i]),
+        lambda i: proj_pi_inverse(line(ls[i]), line(equal[i])),
+        lambda i: line(stretched[i]),
+    ]
+    for case in degenerate:
+        with pytest.raises(GeometryError) as single:
+            case(5)
+        with pytest.raises(GeometryError) as batch:
+            case(slice(None))
+        assert str(batch.value) == str(single.value)
 
 
 # -- complex structure and planners ---------------------------------------------------
