@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bundles import BundleError, BundleSpec, KField, make_bundle
 from .geomplan import GeometryError, build_sphere_planner, verify_planner
@@ -72,9 +73,65 @@ class ParsedSpec:
 # Least value of each integer key, checked where it is parsed so that the
 # error carries its line.
 _INT_MINIMUM = {"rank": 2, "truncation": 1, "kmax": 0}
+# The keys each section takes; a [classes] key is w<i>.  The header parses a
+# kmax or truncation too, and then reports that it belongs in a section.
+_SECTION_KEYS = {
+    "": ("field", "rank", "coeffs"),
+    "base": ("generator", "relation", "truncation"),
+    "options": ("kmax", "coeffs"),
+}
+# The words that follow the key on a [base] line, where there is a fixed number
+_BASE_USAGE = {"generator": "<name> <degree>", "truncation": "<degree>"}
 
 
-def _parse_header_value(key: str, value: str, path: str, line_no: int) -> object:
+def _entries(raw_lines: list[str], path: str) -> Iterator[tuple[str, str, str, int]]:
+    """Yield (section, key, value, line) for each entry, the header as section "";
+    a [base] entry is named by the start of its line and its value is that line."""
+    section = ""
+    for line_no, raw in enumerate(raw_lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip().lower()
+            if section not in ("base", "classes", "options"):
+                raise SpecFileError(f"unknown section [{section}]", path, line_no)
+        elif section == "base":
+            key = next((k for k in _SECTION_KEYS["base"] if line.lower().startswith(k)), None)
+            if key is None:
+                raise SpecFileError(f"unknown base entry {line!r}", path, line_no)
+            yield section, key, line, line_no
+        elif "=" not in line:
+            shape = "w<i> = <expression>" if section == "classes" else "key = value"
+            raise SpecFileError(f"expected {shape}", path, line_no)
+        else:
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if section == "classes" and not (key.startswith("w") and key[1:].isdigit()):
+                raise SpecFileError(f"class key must look like w3, got {key!r}", path, line_no)
+            key = f"w{int(key[1:])}" if section == "classes" else key.lower()
+            yield section, key, value.strip(), line_no
+
+
+def _parse_value(section: str, key: str, value: str, path: str, line_no: int) -> object:
+    """Parse the value of one entry; a bad value is an error at its line."""
+    if section == "classes":
+        return value  # an expression, parsed once the base is built
+    if key == "relation":
+        expr = value[len("relation"):].strip()
+        if not expr:
+            raise SpecFileError("relation needs an expression", path, line_no)
+        return expr
+    if section == "base":
+        parts = value.split()
+        if len(parts) != len(_BASE_USAGE[key].split()) + 1:
+            raise SpecFileError(f"usage: {key} {_BASE_USAGE[key]}", path, line_no)
+        if key == "generator":
+            try:
+                return parts[1], int(parts[2])
+            except ValueError as exc:
+                raise SpecFileError("generator degree must be an integer", path, line_no) from exc
+        value = parts[1]
     if key == "field":
         try:
             return KField.from_tag(value)
@@ -106,108 +163,42 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
     except OSError as exc:
         raise SpecFileError(str(exc), path) from exc
 
-    field: KField | None = None
-    rank: int | None = None
-    coeffs: Coeffs | None = coeffs_override
+    values: dict[str, object] = {}  # field, rank, coeffs, truncation, kmax and each w<i>
+    lines: dict[str, int] = {}  # the line of each key in values
     generators: list[tuple[str, int, int]] = []  # (name, degree, line)
     relations: list[tuple[str, int]] = []  # (expression, line)
-    truncation: int | None = None
-    truncation_line = 0
-    classes: list[tuple[int, str, int]] = []  # (index, expression, line)
-    k_max: int | None = None
-    section = ""
-    seen: set[str] = set()
-
-    def once(key: str, line_no: int) -> None:
+    for section, key, value, line_no in _entries(raw_lines, path):
         # coeffs given by the caller overrides the file, so it may repeat
-        if key == "coeffs" and coeffs_override is not None:
-            return
-        if key in seen:
+        overridden = key == "coeffs" and coeffs_override is not None
+        if section != "options":  # parsed before the repeat check
+            value = _parse_value(section, key, value, path, line_no)
+        elif key not in _SECTION_KEYS[section]:
+            raise SpecFileError(f"unknown option {key!r}", path, line_no)
+        if key in lines and not overridden:
             raise SpecFileError(f"duplicate {key}", path, line_no)
-        seen.add(key)
+        if section == "" and key not in _SECTION_KEYS[section]:
+            raise SpecFileError(f"{key} belongs in a section", path, line_no)
+        if key == "generator":
+            generators.append((*value, line_no))
+        elif key == "relation":
+            relations.append((value, line_no))
+        elif not overridden:
+            if section == "options":  # options are parsed after the repeat check
+                value = _parse_value(section, key, value, path, line_no)
+            values[key] = value
+            lines[key] = line_no
 
-    for line_no, raw in enumerate(raw_lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in ("base", "classes", "options"):
-                raise SpecFileError(f"unknown section [{section}]", path, line_no)
-            continue
-        if section == "":
-            if "=" not in line:
-                raise SpecFileError("expected key = value", path, line_no)
-            key, _, value = line.partition("=")
-            key, value = key.strip().lower(), value.strip()
-            parsed = _parse_header_value(key, value, path, line_no)
-            once(key, line_no)
-            if key == "field":
-                field = parsed
-            elif key == "rank":
-                rank = parsed
-            elif key == "coeffs":
-                if coeffs_override is None:
-                    coeffs = parsed
-            else:
-                raise SpecFileError(f"{key} belongs in a section", path, line_no)
-        elif section == "base":
-            if line.lower().startswith("generator"):
-                parts = line.split()
-                if len(parts) != 3:
-                    raise SpecFileError("usage: generator <name> <degree>", path, line_no)
-                try:
-                    generators.append((parts[1], int(parts[2]), line_no))
-                except ValueError as exc:
-                    raise SpecFileError("generator degree must be an integer", path, line_no) from exc
-            elif line.lower().startswith("relation"):
-                expr = line[len("relation"):].strip()
-                if not expr:
-                    raise SpecFileError("relation needs an expression", path, line_no)
-                relations.append((expr, line_no))
-            elif line.lower().startswith("truncation"):
-                parts = line.split()
-                if len(parts) != 2:
-                    raise SpecFileError("usage: truncation <degree>", path, line_no)
-                truncation = _parse_header_value("truncation", parts[1], path, line_no)
-                once("truncation", line_no)
-                truncation_line = line_no
-            else:
-                raise SpecFileError(f"unknown base entry {line!r}", path, line_no)
-        elif section == "classes":
-            if "=" not in line:
-                raise SpecFileError("expected w<i> = <expression>", path, line_no)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if not (key.startswith("w") and key[1:].isdigit()):
-                raise SpecFileError(f"class key must look like w3, got {key!r}", path, line_no)
-            once(f"w{int(key[1:])}", line_no)
-            classes.append((int(key[1:]), value.strip(), line_no))
-        else:  # options
-            if "=" not in line:
-                raise SpecFileError("expected key = value", path, line_no)
-            key, _, value = line.partition("=")
-            key, value = key.strip().lower(), value.strip()
-            if key in ("kmax", "coeffs"):
-                once(key, line_no)
-            if key == "kmax":
-                k_max = _parse_header_value("kmax", value, path, line_no)
-            elif key == "coeffs":
-                if coeffs_override is None:
-                    coeffs = _parse_header_value("coeffs", value, path, line_no)
-            else:
-                raise SpecFileError(f"unknown option {key!r}", path, line_no)
-
+    field, rank, truncation = values.get("field"), values.get("rank"), values.get("truncation")
     if field is None:
         raise SpecFileError("missing 'field = R|C|H'", path)
     if rank is None:
         raise SpecFileError("missing 'rank = <integer>'", path)
-    if coeffs is None:
-        coeffs = Coeffs.F2 if field is KField.R else Coeffs.INT
+    coeffs = coeffs_override or values.get("coeffs") or (
+        Coeffs.F2 if field is KField.R else Coeffs.INT)
 
     if truncation is not None and coeffs is not Coeffs.F2:
         raise SpecFileError(f"truncation needs coeffs = f2, got {coeffs.value.lower()}",
-                            path, truncation_line)
+                            path, lines["truncation"])
     # one generator at a time, so an error carries the line of its generator
     ring = PolyRing(coeffs, [])
     for name, degree, line_no in generators:
@@ -229,7 +220,8 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
         raise SpecFileError(str(exc), path) from exc
 
     class_map: dict[int, Element] = {}
-    for idx, expr, line_no in classes:
+    classes = [(int(key[1:]), values[key], lines[key]) for key in values if key.startswith("w")]
+    for idx, expr, line_no in classes:  # (index, expression, line)
         if not 1 <= idx <= rank:
             raise SpecFileError(f"class index {idx} outside 1..{rank}", path, line_no)
         try:
@@ -240,7 +232,7 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
         bundle = make_bundle(field, rank, base, class_map)
     except BundleError as exc:
         raise SpecFileError(str(exc), path) from exc
-    return ParsedSpec(bundle=bundle, k_max=k_max, field=field, coeffs=coeffs)
+    return ParsedSpec(bundle=bundle, k_max=values.get("kmax"), field=field, coeffs=coeffs)
 
 
 # -- criteria -------------------------------------------------------------------
@@ -263,10 +255,16 @@ class CriterionResult:
         return self.min_k - 1 if self.found else self.min_k.k_max
 
 
+def _search_bound(spec: ParsedSpec, k_max: int | None) -> int:
+    """``k_max`` if given, else the spec's kmax, else ``default_k_max``."""
+    if k_max is not None:
+        return k_max
+    return spec.k_max if spec.k_max is not None else default_k_max(spec.bundle)
+
+
 def run_criteria(spec: ParsedSpec, k_max: int | None = None) -> list[CriterionResult]:
     b = spec.bundle
-    if k_max is None:
-        k_max = spec.k_max if spec.k_max is not None else default_k_max(b)
+    k_max = _search_bound(spec, k_max)
     searches = []
     if b.field is KField.R:
         searches += [("sphere_divisibility", sphere_powers(b)),
@@ -331,24 +329,19 @@ def _criteria_lines(spec: ParsedSpec, results: list[CriterionResult], k_max: int
 # -- presentation dumps ------------------------------------------------------------
 
 
-def _ring_dump(spec: ParsedSpec, which: str, machine: bool) -> list[str]:
-    b = spec.bundle
-    named: list[tuple[str, Element]]
-    if which == "proj":
-        pres, e_zeta, e_eta = projective_of(b)
-        named = [("e_zeta", e_zeta), ("e_eta", e_eta)]
-    elif which == "qtilde":
-        pres, e_at = q_tilde_of(b, None)
-        named = [("e_alpha_tilde", e_at)]
-    elif which == "grassmann":
-        pres, y, z = grassmann_of(b)
-        named = [("Y", y), ("Z", z)]
-    elif which == "feder":
-        pres, e_lambda, e_alpha, w_d_beta = feder_of(b)
-        named = [("e_lambda", e_lambda), ("e_alpha", e_alpha), ("w_d_beta", w_d_beta)]
-    else:
-        raise ValueError(f"unknown ring {which!r}")
+# The rings --which names: each one's cached builder and the classes it returns
+_RINGS = {
+    "proj": (projective_of, ("e_zeta", "e_eta")),
+    "qtilde": (q_tilde_of, ("e_alpha_tilde",)),
+    "grassmann": (grassmann_of, ("Y", "Z")),
+    "feder": (feder_of, ("e_lambda", "e_alpha", "w_d_beta")),
+}
 
+
+def _ring_dump(spec: ParsedSpec, which: str, machine: bool) -> list[str]:
+    build, names = _RINGS[which]
+    pres, *classes = build(spec.bundle)
+    named = list(zip(names, classes))
     out = []
     if machine:
         out.append(f"which={which}")
@@ -378,6 +371,9 @@ def _ring_dump(spec: ParsedSpec, which: str, machine: bool) -> list[str]:
 
 # -- entry point --------------------------------------------------------------------
 
+# The values --coeffs takes and the coefficients each one selects
+_COEFFS_FLAG = {"f2": Coeffs.F2, "z": Coeffs.INT}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -388,10 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     crit = sub.add_parser("criteria", help="run the vanishing criteria from a spec file")
-    crit.add_argument("spec")
     crit.add_argument("--kmax", type=int, default=None)
-    crit.add_argument("--coeffs", choices=["f2", "z"], default=None)
-    crit.add_argument("--machine", action="store_true")
 
     plan = sub.add_parser("planner", help="build and verify the sphere planner")
     plan.add_argument("--n", type=int, required=True)
@@ -400,62 +393,43 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--machine", action="store_true")
 
     ring = sub.add_parser("ring", help="dump a completed presentation")
-    ring.add_argument("spec")
-    ring.add_argument(
-        "--which", choices=["proj", "qtilde", "grassmann", "feder"], required=True
-    )
-    ring.add_argument("--coeffs", choices=["f2", "z"], default=None)
-    ring.add_argument("--machine", action="store_true")
+    ring.add_argument("--which", choices=list(_RINGS), required=True)
+    for command in (crit, ring):
+        command.add_argument("spec")
+        command.add_argument("--coeffs", choices=list(_COEFFS_FLAG), default=None)
+        command.add_argument("--machine", action="store_true")
     return parser
-
-
-def _coeffs_flag(value: str | None) -> Coeffs | None:
-    if value is None:
-        return None
-    return Coeffs.F2 if value == "f2" else Coeffs.INT
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    code = 0
     try:
         if args.command == "criteria":
             if args.kmax is not None and args.kmax < 0:
                 print(f"error: --kmax must be >= 0, got {args.kmax}", file=sys.stderr)
                 return 2
-            spec = parse_spec_file(args.spec, _coeffs_flag(args.coeffs))
-            k_max = args.kmax if args.kmax is not None else (
-                spec.k_max if spec.k_max is not None else default_k_max(spec.bundle)
-            )
-            results = run_criteria(spec, k_max)
-            for line in _criteria_lines(spec, results, k_max, args.machine):
-                print(line)
-            return 0
-        if args.command == "planner":
+            spec = parse_spec_file(args.spec, _COEFFS_FLAG.get(args.coeffs))
+            k_max = _search_bound(spec, args.kmax)
+            lines = _criteria_lines(spec, run_criteria(spec, k_max), k_max, args.machine)
+        elif args.command == "planner":
             report = verify_planner(build_sphere_planner(args.n), args.samples, args.seed)
-            if args.machine:
-                for line in report.lines():
-                    print(line)
-            else:
-                print(f"sphere planner on S^{args.n}: 2 rules, "
-                      f"{args.samples} samples, seed {args.seed}")
-                for line in report.lines()[3:]:
-                    print(f"  {line.replace('=', ' = ', 1)}")
-            return 0 if report.passed else 1
-        if args.command == "ring":
-            spec = parse_spec_file(args.spec, _coeffs_flag(args.coeffs))
-            for line in _ring_dump(spec, args.which, args.machine):
-                print(line)
-            return 0
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BundleError, PresentationError, GradingError, GeometryError) as exc:
+            code = 0 if report.passed else 1
+            lines = report.lines() if args.machine else [
+                f"sphere planner on S^{args.n}: 2 rules, {args.samples} samples, seed {args.seed}",
+                *(f"  {line.replace('=', ' = ', 1)}" for line in report.lines()[3:])]
+        else:
+            spec = parse_spec_file(args.spec, _COEFFS_FLAG.get(args.coeffs))
+            lines = _ring_dump(spec, args.which, args.machine)
+    except (SpecFileError, BundleError, PresentationError, GradingError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalDisagreementError as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
-    return 2
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -406,7 +406,7 @@ def complex_structure(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_sphere_planner(n: int, k: int = 1) -> Planner:
+def build_sphere_planner(n: int) -> Planner:
     """Two-rule geodesic planner on the n-sphere for odd n.
 
     Rule 0 follows the shortest arc wherever the endpoints are not antipodal.
@@ -422,8 +422,6 @@ def build_sphere_planner(n: int, k: int = 1) -> Planner:
         raise GeometryError(
             "no planner for even n: the complex-structure section needs odd n"
         )
-    if k != 1:
-        raise GeometryError("only the two-rule construction (k = 1) is implemented")
 
     def accepts_near(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _dot(u, v) > -1.0 + GEOM_TOL

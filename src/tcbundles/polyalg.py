@@ -118,9 +118,6 @@ class PolyRing:
 
     # -- element constructors ----------------------------------------------
 
-    def poly(self, terms: Mapping[ExpVec, int]) -> "Polynomial":
-        return Polynomial(self, terms)
-
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 

@@ -316,21 +316,13 @@ def _tower_normalize(ring: PolyRing, relations: list[Polynomial]) -> list[Polyno
     seen: set[int] = set()
     normalized: list[Polynomial] = []
     for rel in relations:
-        gidx = max(
-            i for exps in rel.terms for i, e in enumerate(exps) if e > 0
-        ) if any(any(exps) for exps in rel.terms) else None
-        if gidx is None:
+        lead, support, _ = _lead_and_tail(rel.terms, ring)
+        if not support:
             raise PresentationError(f"constant relation {rel} is not allowed")
-        power = max(exps[gidx] for exps in rel.terms)
-        lead_exps = [0] * ring.ngens
-        lead_exps[gidx] = power
-        lead_exps = tuple(lead_exps)
-        lc = rel.coefficient(lead_exps)
-        others_at_power = [
-            exps for exps in rel.terms
-            if exps[gidx] == power and exps != lead_exps
-        ]
-        if lc not in (1, -1) or others_at_power:
+        # rel is homogeneous, so its grlex lead is a pure power g^m of its last
+        # generator g exactly when no other term reaches g^m
+        gidx, lc = support[-1][0], rel.terms[lead]
+        if len(support) > 1 or lc not in (1, -1):
             raise PresentationError(
                 f"relation {rel} is not monic in generator "
                 f"{ring.names[gidx]!r}; use GROEBNER_F2"

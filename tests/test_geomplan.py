@@ -552,11 +552,6 @@ def test_build_planner_rejects_even_spheres():
         build_sphere_planner(2)
 
 
-def test_build_planner_rejects_extra_rules():
-    with pytest.raises(GeometryError):
-        build_sphere_planner(3, k=2)
-
-
 def test_planner_covers_every_pair_with_correct_endpoints():
     planner = build_sphere_planner(3)
     pairs = [(random_sphere_point(4), random_sphere_point(4)) for _ in range(50)]

@@ -12,8 +12,15 @@ regenerates the file and says so in CHANGES.md.
 2000 --seed 0 --machine``.  Its counts, bound and verdict are compared byte
 for byte; its float fields, whose last digits depend on numpy's summation
 order, within fixed tolerances.
+
+``human/<spec>.txt`` holds, for each spec, the stdout of ``tcbundles
+criteria <spec>`` and of ``tcbundles ring <spec> --which W`` for the four
+rings, without ``--machine``, each after a ``$ tcbundles ...`` line naming
+the command (``human_transcript``).
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -25,10 +32,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SPECS = sorted(p.stem for p in (ROOT / "specs").glob("*.spec"))
 SPEC_FILES = {p.stem: p for d in (ROOT / "specs", ROOT / "tests" / "specs")
               for p in d.glob("*.spec")}
+RINGS = ("proj", "qtilde", "grassmann", "feder")
 CASES = [(f"criteria_{s}", ["criteria", s]) for s in sorted(SPEC_FILES)] + [
     (f"ring_{which}_{s}", ["ring", s, "--which", which])
     for s in sorted(SPEC_FILES)
-    for which in ("proj", "qtilde", "grassmann", "feder")
+    for which in RINGS
 ]
 PLANNER_NS = (1, 3, 5, 7)
 PLANNER_EXACT = ("n", "samples", "seed", "cover_failures", "continuity_bound", "passed")
@@ -70,3 +78,22 @@ def test_planner_report_matches_golden(capsys, n):
     for key in PLANNER_ERRORS:
         assert float(got[key]) <= 1e-9, key
         assert abs(float(got[key]) - float(want[key])) <= 1e-10, key
+
+
+def human_transcript(spec):
+    """The human output of ``criteria`` and of each ring dump for one spec."""
+    parts = []
+    for command, *flags in [["criteria"]] + [["ring", "--which", w] for w in RINGS]:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(SPEC_FILES[spec]), *flags])
+        assert code == 0 and err.getvalue() == "", (command, flags, err.getvalue())
+        parts.append(" ".join(["$ tcbundles", command, f"{spec}.spec", *flags]) + "\n")
+        parts.append(out.getvalue())
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("spec", sorted(SPEC_FILES))
+def test_human_output_matches_golden(spec):
+    want = (GOLDEN / "human" / f"{spec}.txt").read_text(encoding="utf-8")
+    assert human_transcript(spec) == want
