@@ -86,7 +86,7 @@ _BASE_USAGE = {"generator": "<name> <degree>", "truncation": "<degree>"}
 
 def _entries(raw_lines: list[str], path: str) -> Iterator[tuple[str, str, str, int]]:
     """Yield (section, key, value, line) for each entry, the header as section "";
-    a [base] entry is named by the start of its line and its value is that line."""
+    a [base] entry is named by the first word of its line and its value is that line."""
     section = ""
     for line_no, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -97,8 +97,8 @@ def _entries(raw_lines: list[str], path: str) -> Iterator[tuple[str, str, str, i
             if section not in ("base", "classes", "options"):
                 raise SpecFileError(f"unknown section [{section}]", path, line_no)
         elif section == "base":
-            key = next((k for k in _SECTION_KEYS["base"] if line.lower().startswith(k)), None)
-            if key is None:
+            key = line.split()[0].lower()
+            if key not in _SECTION_KEYS["base"]:
                 raise SpecFileError(f"unknown base entry {line!r}", path, line_no)
             yield section, key, line, line_no
         elif "=" not in line:
@@ -178,13 +178,13 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
             raise SpecFileError(f"duplicate {key}", path, line_no)
         if section == "" and key not in _SECTION_KEYS[section]:
             raise SpecFileError(f"{key} belongs in a section", path, line_no)
+        if section == "options":  # options are parsed after the repeat check
+            value = _parse_value(section, key, value, path, line_no)
         if key == "generator":
             generators.append((*value, line_no))
         elif key == "relation":
             relations.append((value, line_no))
         elif not overridden:
-            if section == "options":  # options are parsed after the repeat check
-                value = _parse_value(section, key, value, path, line_no)
             values[key] = value
             lines[key] = line_no
 

@@ -17,13 +17,14 @@ its largest monomial down.  ``Strategy`` only validates and completes:
 ``GROEBNER_F2``
     Truncated Buchberger completion over F2.  Each S-pair is keyed once, when
     it is created, and waits in a heap that pops the lowest lcm degree first.
-    Two filters run at creation and read only the two leads: a pair with
-    coprime leads (Buchberger's first criterion) or with its lcm above the
-    truncation bound is never queued.  Since all relations are homogeneous
-    this yields normal forms that are canonical up to the truncation degree.
-    One pass of inter-reduction then gives the unique reduced basis: drop
-    every element whose lead another lead divides, and reduce each remaining
-    tail once against what is left.
+    Three filters run at creation: a pair of two monomials (its S-polynomial
+    is zero), a pair with coprime leads (Buchberger's first criterion) or a
+    pair with its lcm above the truncation bound is never queued.  Since all
+    relations are homogeneous this yields normal forms that are canonical up
+    to the truncation degree.  Minimality is found on insertion: a new lead
+    marks every earlier lead it divides.  One pass of inter-reduction then
+    gives the unique reduced basis: keep the unmarked elements, and reduce
+    each tail once against them.
 
 A presentation may carry a ``truncation`` degree: every element of weighted
 degree above it is zero in the quotient.  The truncation is semantic, i.e. it
@@ -63,10 +64,6 @@ class PresentationError(ValueError):
 
 class ModuleBasisError(ValueError):
     """A claimed free module decomposition fails to hold."""
-
-
-def _exps_divides(a: ExpVec, b: ExpVec) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _exps_shift(exps: ExpVec, by: ExpVec) -> ExpVec:
@@ -409,24 +406,30 @@ def _buchberger(
     Each S-pair is keyed once, when it is created, by (weighted degree of the
     lcm of its leads, minus its creation number), and waits in a heap: pairs
     pop lowest degree first and, within a degree, newest first.  A pair is
-    never queued when its leads are coprime (Buchberger's first criterion:
-    its S-polynomial reduces to zero) or when their lcm lies above the
-    truncation (its S-polynomial is zero in the quotient).  Both tests read
-    only the two leads, which never change once an element joins the basis.
+    never queued when both elements are monomials (checked before a creation
+    number is taken, so the other pairs keep their order), when its leads
+    are coprime (Buchberger's first criterion) or when their lcm lies above
+    the truncation: each S-polynomial is zero or reduces to zero.
 
-    The result is inter-reduced in one pass: every element whose lead is
-    divisible by another lead is dropped, which leaves a minimal basis with
-    the same leading ideal, and each remaining tail is reduced once against
-    it.  That is the unique reduced basis up to the truncation.
+    Each new element is fully reduced by all before it, so only a later lead
+    can divide an earlier one, and ``add`` marks every earlier element whose
+    lead the new lead divides.  Dropping the marked ones leaves a minimal
+    basis with the same leading ideal; each remaining tail is reduced once
+    against it.  That is the unique reduced basis up to the truncation.
     """
     basis: list[_BasisElement] = []
+    redundant: set[int] = set()  # indices of elements whose lead a later lead divides
     pairs: list[tuple[int, int, ExpVec, int, int]] = []
     created = count()
 
     def add(reduced: dict[ExpVec, int]) -> None:
         element = _lead_and_tail(reduced, ring)
-        lead = element[0]
-        for k, (other, _, _) in enumerate(basis):
+        lead, support, tail = element
+        for k, (other, _, other_tail) in enumerate(basis):
+            if all([other[i] >= x for i, x in support]):
+                redundant.add(k)
+            if not tail and not other_tail:
+                continue  # two monomials: the S-polynomial is zero
             n = next(created)
             lcm = _exps_lcm(other, lead)
             degree = ring.weighted_degree(lcm)
@@ -448,10 +451,7 @@ def _buchberger(
         if reduced:
             add(reduced)
 
-    # leads are pairwise distinct: each element was reduced by all before it
-    minimal = [el for el in basis
-               if not any(other is not el and _exps_divides(other[0], el[0])
-                          for other in basis)]
+    minimal = [el for k, el in enumerate(basis) if k not in redundant]
     polys = [Polynomial(ring, {lead: 1, **_reduce(dict(tail), minimal, ring, trunc)})
              for lead, _, tail in minimal]
     polys.sort(key=lambda p: ring.order_key(p.leading_exponents()))

@@ -19,6 +19,7 @@ from tcbundles import (
     point_presentation,
     verify_free_basis,
 )
+from tcbundles.bundles import _truncation_monomials
 from tcbundles.ringquot import verify_cell_dimensions
 
 from oracles import f2_ideal_member, f2_quotient_dimension, tower_normal_form
@@ -412,23 +413,11 @@ def test_integral_tower_normal_forms_match_stack_oracle(seed):
 SYMPY_CASES = [(3, None, seed) for seed in range(20)] + [(4, 7, seed) for seed in range(3)]
 
 
-@pytest.mark.parametrize(
-    "ngens,top,seed", SYMPY_CASES,
-    ids=[str(seed) if top is None else f"{ngens}gens_t{top}_{seed}"
-         for ngens, top, seed in SYMPY_CASES])
-def test_truncated_buchberger_matches_sympy(ngens, top, seed):
+def sympy_truncated_basis(ring, rels, top):
+    """The reduced grlex Groebner basis of ``rels`` plus every monomial of
+    degree ``top + 1``, computed by sympy over F2, as the term sets of its
+    elements of degree <= ``top``.  Every generator must have degree 1."""
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(seed)
-    ring = PolyRing(Coeffs.F2, [(f"x{i}", 1) for i in range(ngens)])
-    if top is None:
-        top = rng.randint(3, 5)
-    rels = []
-    for _ in range(rng.randint(2, 4)):
-        degree = rng.randint(2, top)
-        monos = sorted(_monomials_of_degree(ring, degree))
-        rels.append(Polynomial(ring, {e: 1 for e in rng.sample(monos, rng.randint(1, 3))}))
-    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, top).complete()
-
     gens = sympy.symbols(" ".join(ring.names))
 
     def to_expr(terms):
@@ -443,7 +432,92 @@ def test_truncated_buchberger_matches_sympy(ngens, top, seed):
         poly = sympy.Poly(g, *order, modulus=2)
         if poly.total_degree() <= top:
             want.add(frozenset(m[::-1] for m, c in poly.terms() if int(c) % 2))
-    assert {frozenset(r.terms) for r in pres.relations} == want
+    return want
+
+
+@pytest.mark.parametrize(
+    "ngens,top,seed", SYMPY_CASES,
+    ids=[str(seed) if top is None else f"{ngens}gens_t{top}_{seed}"
+         for ngens, top, seed in SYMPY_CASES])
+def test_truncated_buchberger_matches_sympy(ngens, top, seed):
+    pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    ring = PolyRing(Coeffs.F2, [(f"x{i}", 1) for i in range(ngens)])
+    if top is None:
+        top = rng.randint(3, 5)
+    rels = []
+    for _ in range(rng.randint(2, 4)):
+        degree = rng.randint(2, top)
+        monos = sorted(_monomials_of_degree(ring, degree))
+        rels.append(Polynomial(ring, {e: 1 for e in rng.sample(monos, rng.randint(1, 3))}))
+    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, top).complete()
+    assert {frozenset(r.terms) for r in pres.relations} == sympy_truncated_basis(ring, rels, top)
+
+
+# -- the two completion shortcuts: monomial pairs and redundant leads ----------------
+
+
+def test_later_lead_divides_an_earlier_one():
+    # the lead x*y of the second relation divides the first, x^2*y, which
+    # therefore leaves the basis; the pair of the two gives x^3
+    ring = PolyRing(Coeffs.F2, [("x", 1), ("y", 1)])
+    rels = [ring.parse("x^2*y"), ring.parse("x^2 + x*y")]
+    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, 4).complete()
+    assert pres.relations == (ring.parse("x*y + x^2"), ring.parse("x^3"))
+    assert {frozenset(r.terms) for r in pres.relations} == sympy_truncated_basis(ring, rels, 4)
+    assert pres.element("x^2*y").is_zero() and not pres.element("y^4").is_zero()
+    for m in range(5):
+        assert pres.dimension(m) == f2_quotient_dimension(ring, rels, m), m
+
+
+def test_monomial_relations_complete_to_their_minimal_generators():
+    ring = PolyRing(Coeffs.F2, [("x", 1), ("y", 1), ("z", 2)])
+    # x^2*y joins first and is then divided by the later x*y; x*y*z is
+    # reduced to zero by x*y before it joins; z^4 lies above the truncation
+    rels = [ring.parse(m) for m in ("x^2*y", "y*z^2", "x*y", "x*y*z", "x^4", "z^4")]
+    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, 6).complete()
+    assert pres.relations == tuple(ring.parse(m) for m in ("x*y", "x^4", "y*z^2"))
+    assert pres.leading_exponent_set() == [(1, 1, 0), (4, 0, 0), (0, 1, 2)]
+    for m in range(7):
+        assert pres.dimension(m) == f2_quotient_dimension(ring, rels, m), m
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_monomial_relations_complete_to_their_minimal_generators(seed):
+    rng = random.Random(seed)
+    degrees = [rng.choice((1, 2, 3)) for _ in range(rng.randint(2, 4))]
+    ring = PolyRing(Coeffs.F2, [(f"x{i}", d) for i, d in enumerate(degrees)])
+    top = rng.randint(4, 8)
+    monos = [m for d in range(1, top + 2) for m in _monomials_of_degree(ring, d)]
+    picked = rng.sample(monos, min(len(monos), rng.randint(3, 12)))
+    pres = Presentation(ring, [ring.monomial(m) for m in picked], Strategy.GROEBNER_F2,
+                        top).complete()
+    minimal = {m for m in picked if ring.weighted_degree(m) <= top
+               and not any(d != m and all(x <= y for x, y in zip(d, m)) for d in picked)}
+    assert {r.leading_exponents() for r in pres.relations} == minimal
+    assert all(len(r.terms) == 1 for r in pres.relations)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_truncated_base_with_a_fibre_relation_matches_sympy_and_oracles(seed):
+    # the shape _extend_presentation builds: the monomials above the base
+    # truncation in a and b, and a monic fibre relation in t of rank r
+    rng = random.Random(seed)
+    ring = PolyRing(Coeffs.F2, [("a", 1), ("b", 1), ("t", 1)])
+    bound, rank = rng.randint(2, 3), rng.randint(2, 3)
+    rels = _truncation_monomials(ring, [0, 1], bound)
+    fibre = ring.monomial((0, 0, rank))
+    for i in range(1, rank + 1):
+        base_monos = _monomials_of_degree(ring.without_generator("t"), i)
+        w = {e + (0,): 1 for e in base_monos if rng.random() < 0.5}
+        fibre = fibre + Polynomial(ring, w) * ring.monomial((0, 0, rank - i))
+    rels.append(fibre)
+    top = bound + rank - 1
+    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, top).complete()
+    assert {frozenset(r.terms) for r in pres.relations} == sympy_truncated_basis(ring, rels, top)
+    for m in range(top + 1):
+        assert pres.dimension(m) == f2_quotient_dimension(ring, rels, m), m
+    assert all(f2_ideal_member(ring, rels, r) for r in pres.relations)
 
 
 # -- mixed-degree completion against the linear-algebra oracles ---------------------
