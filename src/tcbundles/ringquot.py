@@ -30,14 +30,29 @@ A presentation may carry a ``truncation`` degree: every element of weighted
 degree above it is zero in the quotient.  The truncation is semantic, i.e. it
 is part of the ring being presented, not a computational shortcut.
 
+The reducer, the completion and the walk pack a monomial into one int, the
+packed exponent vector of Bachmann and Schoenemann (ISSAC '98): exponent i
+fills field i of ``width`` bits, generator n-1 most significant, so within
+one degree integer order is graded-lex order.  The top bit of each field is
+a guard bit that no exponent reaches.  With G the mask of guard bits, a lead
+l divides m exactly when ``((m | G) - l) & G == G``: each field of the
+difference is m_i + 2^(width-1) - l_i, which lies in [0, 2^width), so no
+field borrows from the next, and it keeps its guard bit just when
+m_i >= l_i.  The quotient is ``m - l``.  An exponent is at most the degree
+of its monomial and a rewrite keeps degrees, so the width holds the
+truncation degree or, on an untruncated ring, the largest degree among the
+terms being reduced; each completed presentation caches its basis packed
+at every width it has used.
+
 Dimensions are counted on the standard monomials, those that no lead of the
 completed basis divides; they form a basis of the quotient in each degree.
 A divisor of a standard monomial is standard, so they form an order ideal,
 and one depth-first walk from 1 that raises one exponent at a time and stops
 at the first multiple of a lead visits each of them once, never touching the
-far larger set of all monomials.  ``Presentation.dimensions(top)`` counts
-every degree up to ``top`` in that one walk and caches the counts;
-``dimension``, ``top_degree`` and ``verify_cell_dimensions`` read them.
+far larger set of all monomials.  Raising generator i adds ``1 << (i*width)``
+to the packed monomial.  ``Presentation.dimensions(top)`` counts every
+degree up to ``top`` in that one walk and caches the counts; ``dimension``,
+``top_degree`` and ``verify_cell_dimensions`` read them.
 """
 
 from __future__ import annotations
@@ -66,20 +81,27 @@ class ModuleBasisError(ValueError):
     """A claimed free module decomposition fails to hold."""
 
 
-def _exps_shift(exps: ExpVec, by: ExpVec) -> ExpVec:
-    return tuple(x + y for x, y in zip(exps, by))
+def _width(top: int) -> int:
+    """Field width, guard bit included, that holds every exponent of a
+    monomial of weighted degree <= top."""
+    return top.bit_length() + 1
 
 
-def _exps_diff(a: ExpVec, b: ExpVec) -> ExpVec:
-    return tuple(x - y for x, y in zip(a, b))
+def _guard(n: int, width: int) -> int:
+    """The guard bits of n fields of ``width`` bits."""
+    return sum(1 << (i * width + width - 1) for i in range(n))
 
 
-def _exps_lcm(a: ExpVec, b: ExpVec) -> ExpVec:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _pack(exps: ExpVec, width: int) -> int:
+    m = 0
+    for x in reversed(exps):
+        m = (m << width) | x
+    return m
 
 
-def _exps_coprime(a: ExpVec, b: ExpVec) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def _unpack(m: int, n: int, width: int) -> ExpVec:
+    mask = (1 << width) - 1
+    return tuple([(m >> (i * width)) & mask for i in range(n)])
 
 
 class Presentation:
@@ -91,7 +113,7 @@ class Presentation:
     """
 
     __slots__ = ("ring", "relations", "strategy", "truncation", "completed",
-                 "_basis", "_dims", "_hash")
+                 "_packs", "_dims", "_hash")
 
     def __init__(
         self,
@@ -124,11 +146,8 @@ class Presentation:
         if strategy is Strategy.MONIC_TOWER:
             rels = _tower_normalize(ring, rels)
         self.relations = tuple(rels)
-        # (lead, support, tail) triples for the reducer, built once per
-        # completed ring
-        self._basis = (
-            tuple(_lead_and_tail(r.terms, ring) for r in rels) if _completed else ()
-        )
+        # width -> (width, guard bits, packed basis), filled by ``_packed``
+        self._packs: dict[int, tuple[int, int, tuple[_BasisElement, ...]]] = {}
         # dimensions in degrees 0, 1, ..., filled by ``dimensions``
         self._dims: list[int] | None = None
         self._hash: int | None = None
@@ -158,8 +177,28 @@ class Presentation:
             raise PresentationError("presentation must be completed first")
         if p.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
-        reduced = _reduce(p.terms, self._basis, self.ring, self.truncation)
-        return Polynomial(self.ring, reduced)
+        ring, trunc = self.ring, self.truncation
+        top = max(map(ring.weighted_degree, p._terms), default=0) if trunc is None else trunc
+        width, guard, basis = self._packed(top)
+        # rewrites keep degrees, so terms above the truncation stay zero
+        work = {_pack(e, width): c for e, c in p._terms.items()
+                if trunc is None or ring.weighted_degree(e) <= trunc}
+        reduced = _reduce(work, basis, guard, ring.coeffs is Coeffs.F2)
+        return Polynomial(ring, {_unpack(m, ring.ngens, width): c for m, c in reduced.items()})
+
+    def _packed(self, top: int) -> tuple[int, int, tuple["_BasisElement", ...]]:
+        """Width, guard bits and basis packed for monomials of degree <= top
+        (<= the truncation, if any), cached per width.  Elements of a degree
+        the width does not hold are left out: their leads divide nothing it
+        holds."""
+        if not self.completed:
+            raise PresentationError("presentation must be completed first")
+        width = _width(top if self.truncation is None else self.truncation)
+        if width not in self._packs:
+            self._packs[width] = (width, _guard(self.ring.ngens, width), tuple(
+                _lead_and_tail({_pack(e, width): c for e, c in r._terms.items()})
+                for r in self.relations if r.degree() < 1 << width - 1))
+        return self._packs[width]
 
     def element(self, p: "Polynomial | str | int") -> "Element":
         if isinstance(p, str):
@@ -180,7 +219,7 @@ class Presentation:
         """Exponent vectors whose multiples are killed by reduction."""
         if not self.completed:
             raise PresentationError("presentation must be completed first")
-        return [lead for lead, _, _ in self._basis]
+        return [r.leading_exponents() for r in self.relations]
 
     def dimensions(self, top: int) -> list[int]:
         """Dimensions of the graded pieces in degrees 0..top.
@@ -208,42 +247,45 @@ class Presentation:
         """
         if degree < 0 or (self.truncation is not None and degree > self.truncation):
             return []
-        out = [exps for exps, d in self._walk(degree) if d == degree]
+        width, n = self._packed(degree)[0], self.ring.ngens
+        out = [_unpack(m, n, width) for m, d in self._walk(degree) if d == degree]
         out.sort(key=self.ring.order_key)
         return out
 
-    def _walk(self, top: int) -> Iterator[tuple[ExpVec, int]]:
-        """Every standard monomial of weighted degree <= top, with its degree.
+    def _walk(self, top: int) -> Iterator[tuple[int, int]]:
+        """Every standard monomial of weighted degree <= top, packed at the
+        width ``_packed(top)`` gives, with its degree.
 
         Depth-first from 1, raising one exponent at a time and never at a
         generator before the last one raised, so each monomial is reached
         once, through its divisors.  A divisor of a standard monomial is
         standard, so the walk stops at the first multiple of a lead.  Raising
         generator i to exponent x can only bring in a lead whose exponent at
-        i is x, so leads are indexed by (i, x) from their support.
+        i is x, so leads are indexed by (i, x).
         """
-        if not self.completed:
-            raise PresentationError("presentation must be completed first")
+        width, guard, basis = self._packed(top)
         degrees = self.ring.degrees
         n = len(degrees)
-        by_raise: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
-        for _, support, _ in self._basis:
-            if not support:
+        mask = (1 << width) - 1
+        by_raise: dict[tuple[int, int], list[int]] = {}
+        for lead, _ in basis:
+            if not lead:
                 return  # a unit lead: the quotient is zero
-            for i, x in support:
-                by_raise.setdefault((i, x), []).append(support)
-        stack = [((0,) * n, 0, 0)]
+            for i, x in enumerate(_unpack(lead, n, width)):
+                if x:
+                    by_raise.setdefault((i, x), []).append(lead)
+        stack = [(0, 0, 0)]
         while stack:
-            exps, degree, first = stack.pop()
-            yield exps, degree
+            m, degree, first = stack.pop()
+            yield m, degree
             for i in range(first, n):
                 d = degree + degrees[i]
                 if d > top:
                     continue
-                x = exps[i] + 1
-                raised = exps[:i] + (x,) + exps[i + 1:]
-                if not any(all([raised[j] >= y for j, y in support])
-                           for support in by_raise.get((i, x), ())):
+                raised = m + (1 << i * width)
+                leads = by_raise.get((i, ((m >> i * width) & mask) + 1), ())
+                rg = raised | guard
+                if not any((rg - lead) & guard == guard for lead in leads):
                     stack.append((raised, d, i))
 
     def dimension(self, degree: int) -> int:
@@ -313,12 +355,13 @@ def _tower_normalize(ring: PolyRing, relations: list[Polynomial]) -> list[Polyno
     seen: set[int] = set()
     normalized: list[Polynomial] = []
     for rel in relations:
-        lead, support, _ = _lead_and_tail(rel.terms, ring)
+        lead = rel.leading_exponents()
+        support = [i for i, x in enumerate(lead) if x]
         if not support:
             raise PresentationError(f"constant relation {rel} is not allowed")
         # rel is homogeneous, so its grlex lead is a pure power g^m of its last
         # generator g exactly when no other term reaches g^m
-        gidx, lc = support[-1][0], rel.terms[lead]
+        gidx, lc = support[-1], rel.coefficient(lead)
         if len(support) > 1 or lc not in (1, -1):
             raise PresentationError(
                 f"relation {rel} is not monic in generator "
@@ -335,63 +378,56 @@ def _tower_normalize(ring: PolyRing, relations: list[Polynomial]) -> list[Polyno
 
 # -- reduction and completion ------------------------------------------------------------
 
-# A basis element (lead, support, tail) stands for the relation lead + tail,
-# whose leading monomial ``lead`` has coefficient +1; ``support`` lists the
-# (index, exponent) pairs of the nonzero exponents of ``lead``, all that a
-# divisibility test needs (a tower's lead g^m has one); ``tail`` is a tuple of
-# (monomial, coefficient) pairs, all smaller than ``lead``.
-_BasisElement = tuple[ExpVec, tuple[tuple[int, int], ...], tuple[tuple[ExpVec, int], ...]]
+# A basis element (lead, tail) stands for the relation lead + tail, whose
+# packed leading monomial ``lead`` has coefficient +1; ``tail`` is a tuple of
+# (packed monomial, coefficient) pairs, all smaller than ``lead`` and of its
+# degree, so they fit the width that holds the lead.
+_BasisElement = tuple[int, tuple[tuple[int, int], ...]]
 
 
-def _lead_and_tail(terms: Mapping[ExpVec, int], ring: PolyRing) -> _BasisElement:
-    lead = max(terms, key=ring.order_key)
-    support = tuple((i, x) for i, x in enumerate(lead) if x)
-    return lead, support, tuple((e, c) for e, c in terms.items() if e != lead)
-
-
-def _descending(exps: ExpVec) -> ExpVec:
-    """Heap key that pops the graded-lex largest monomial of a degree first."""
-    return tuple([-x for x in exps[::-1]])
+def _lead_and_tail(terms: Mapping[int, int]) -> _BasisElement:
+    """Split a homogeneous packed polynomial: within one degree the largest
+    int is the graded-lex largest monomial."""
+    lead = max(terms)
+    return lead, tuple((e, c) for e, c in terms.items() if e != lead)
 
 
 def _reduce(
-    terms: Mapping[ExpVec, int],
+    work: dict[int, int],
     basis: Sequence[_BasisElement],
-    ring: PolyRing,
-    trunc: int | None,
-) -> dict[ExpVec, int]:
-    """Fully reduce a polynomial (map of monomials to coefficients) by a basis.
+    guard: int,
+    mod2: bool,
+) -> dict[int, int]:
+    """Fully reduce a packed polynomial (map of monomials to coefficients,
+    consumed) by a basis packed at the same width, with guard bits ``guard``.
 
     Terms are taken from the largest monomial down with their coefficients
     merged, so each monomial is reduced at most once; a monomial divisible by
     a lead is replaced by the shifted, negated tail of the first such basis
     element.  Relations are homogeneous, so a rewrite stays in the degree of
-    the monomial it replaces: terms above ``trunc`` are dropped on entry, and
-    a heap keyed on the reversed exponents alone orders every degree.
+    the monomial it replaces, and a heap keyed on ``-m`` orders every degree.
     """
-    mod2 = ring.coeffs is Coeffs.F2
-    work = {e: c for e, c in terms.items()
-            if trunc is None or ring.weighted_degree(e) <= trunc}
-    heap = [(_descending(e), e) for e in work]
+    heap = [-m for m in work]
     heapify(heap)
-    out: dict[ExpVec, int] = {}
+    out: dict[int, int] = {}
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m)
         if mod2:
             c &= 1
         if not c:
             continue
-        for lead, support, tail in basis:
-            if all([m[i] >= x for i, x in support]):
-                shift = _exps_diff(m, lead)
+        mg = m | guard
+        for lead, tail in basis:
+            if (mg - lead) & guard == guard:
+                shift = m - lead
                 for e, tc in tail:
-                    s = _exps_shift(e, shift)
+                    s = e + shift
                     if s in work:
                         work[s] -= c * tc
                     else:
                         work[s] = -c * tc
-                        heappush(heap, (_descending(s), s))
+                        heappush(heap, -s)
                 break
         else:
             out[m] = c
@@ -403,13 +439,16 @@ def _buchberger(
 ) -> tuple[Polynomial, ...]:
     """Truncated Buchberger completion for homogeneous F2 ideals.
 
-    Each S-pair is keyed once, when it is created, by (weighted degree of the
-    lcm of its leads, minus its creation number), and waits in a heap: pairs
-    pop lowest degree first and, within a degree, newest first.  A pair is
-    never queued when both elements are monomials (checked before a creation
-    number is taken, so the other pairs keep their order), when its leads
-    are coprime (Buchberger's first criterion) or when their lcm lies above
-    the truncation: each S-polynomial is zero or reduces to zero.
+    Monomials are packed at the width of the truncation; terms above it are
+    dropped from the relations on entry.  Each S-pair is keyed once, when it
+    is created, by (weighted degree of the lcm of its leads, minus its
+    creation number), and waits in a heap: pairs pop lowest degree first
+    and, within a degree, newest first.  A pair is never queued when both
+    elements are monomials (checked before a creation number is taken, so
+    the other pairs keep their order), when its leads are coprime
+    (Buchberger's first criterion, one AND of the leads' generator bitmasks)
+    or when their lcm lies above the truncation: each S-polynomial is zero
+    or reduces to zero.
 
     Each new element is fully reduced by all before it, so only a later lead
     can divide an earlier one, and ``add`` marks every earlier element whose
@@ -417,43 +456,53 @@ def _buchberger(
     basis with the same leading ideal; each remaining tail is reduced once
     against it.  That is the unique reduced basis up to the truncation.
     """
+    n, width = ring.ngens, _width(trunc)
+    guard = _guard(n, width)
     basis: list[_BasisElement] = []
+    leads: list[tuple[ExpVec, int]] = []  # unpacked lead and its generator bitmask
     redundant: set[int] = set()  # indices of elements whose lead a later lead divides
-    pairs: list[tuple[int, int, ExpVec, int, int]] = []
+    pairs: list[tuple[int, int, int, int, int]] = []
     created = count()
 
-    def add(reduced: dict[ExpVec, int]) -> None:
-        element = _lead_and_tail(reduced, ring)
-        lead, support, tail = element
-        for k, (other, _, other_tail) in enumerate(basis):
-            if all([other[i] >= x for i, x in support]):
+    def add(reduced: dict[int, int]) -> None:
+        lead, tail = element = _lead_and_tail(reduced)
+        exps = _unpack(lead, n, width)
+        gens = sum(1 << i for i, x in enumerate(exps) if x)
+        for k, (other, other_tail) in enumerate(basis):
+            if ((other | guard) - lead) & guard == guard:
                 redundant.add(k)
             if not tail and not other_tail:
                 continue  # two monomials: the S-polynomial is zero
-            n = next(created)
-            lcm = _exps_lcm(other, lead)
+            number = next(created)
+            other_exps, other_gens = leads[k]
+            if not gens & other_gens:
+                continue  # coprime leads
+            lcm = tuple(map(max, other_exps, exps))
             degree = ring.weighted_degree(lcm)
-            if degree <= trunc and not _exps_coprime(other, lead):
-                heappush(pairs, (degree, -n, lcm, k, len(basis)))
+            if degree <= trunc:
+                heappush(pairs, (degree, -number, _pack(lcm, width), k, len(basis)))
         basis.append(element)
+        leads.append((exps, gens))
 
     for r in relations:
-        reduced = _reduce(r.terms, basis, ring, trunc)
+        reduced = _reduce({_pack(e, width): c for e, c in r._terms.items()
+                           if ring.weighted_degree(e) <= trunc}, basis, guard, True)
         if reduced:
             add(reduced)
     while pairs:
         _, _, lcm, i, j = heappop(pairs)
         # the two leads both shift to lcm and cancel; _reduce takes the
         # merged tail counts mod 2
-        spoly = Counter(_exps_shift(e, _exps_diff(lcm, lead))
-                        for lead, _, tail in (basis[i], basis[j]) for e, _ in tail)
-        reduced = _reduce(spoly, basis, ring, trunc)
+        spoly = Counter(e + lcm - lead
+                        for lead, tail in (basis[i], basis[j]) for e, _ in tail)
+        reduced = _reduce(spoly, basis, guard, True)
         if reduced:
             add(reduced)
 
     minimal = [el for k, el in enumerate(basis) if k not in redundant]
-    polys = [Polynomial(ring, {lead: 1, **_reduce(dict(tail), minimal, ring, trunc)})
-             for lead, _, tail in minimal]
+    polys = [Polynomial(ring, {_unpack(e, n, width): 1 for e in
+                               (lead, *_reduce(dict(tail), minimal, guard, True))})
+             for lead, tail in minimal]
     polys.sort(key=lambda p: ring.order_key(p.leading_exponents()))
     return tuple(polys)
 

@@ -1,8 +1,11 @@
 """Presented quotient rings: completion, normal forms, module bases."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tcbundles import (
     Coeffs,
@@ -20,7 +23,7 @@ from tcbundles import (
     verify_free_basis,
 )
 from tcbundles.bundles import _truncation_monomials
-from tcbundles.ringquot import verify_cell_dimensions
+from tcbundles.ringquot import _guard, _pack, _unpack, _width, verify_cell_dimensions
 
 from oracles import f2_ideal_member, f2_quotient_dimension, tower_normal_form
 from oracles import monomials_of_degree as _monomials_of_degree
@@ -630,3 +633,84 @@ def test_walk_needs_a_completed_presentation():
         raw.dimensions(3)
     with pytest.raises(PresentationError):
         raw.standard_monomials(2)
+
+
+# -- the packed monomial encoding --------------------------------------------------------
+
+
+@st.composite
+def packed_vectors(draw, size: int):
+    """A field width and ``size`` exponent vectors of one length that it holds.
+
+    The width is the one for degree 2^k - 1 or for 2^k, so both sides of a
+    bit boundary come up, and the entries favour 0, 2^k - 1 and the largest
+    exponent that degree allows.
+    """
+    k = draw(st.integers(0, 45))
+    top = draw(st.sampled_from((2**k - 1, 2**k)))
+    entry = st.sampled_from((0, 2**k - 1, top)) | st.integers(0, top)
+    n = draw(st.integers(1, 5))
+    vectors = draw(st.lists(st.tuples(*[entry] * n), min_size=size, max_size=size))
+    return _width(top), vectors
+
+
+@st.composite
+def dividing_pair(draw):
+    """A width and exponent vectors a, b that it holds, with b dividing a."""
+    width, (a,) = draw(packed_vectors(1))
+    b = tuple(draw(st.integers(0, x)) for x in a)
+    return width, a, b
+
+
+@given(packed_vectors(1))
+def test_pack_roundtrip_leaves_the_guard_bits_clear(case):
+    width, (a,) = case
+    assert _unpack(_pack(a, width), len(a), width) == a
+    assert _pack(a, width) & _guard(len(a), width) == 0
+
+
+@given(packed_vectors(2))
+def test_guard_test_is_the_exponentwise_divisibility_test(case):
+    width, (a, b) = case
+    guard = _guard(len(a), width)
+    divides = ((_pack(a, width) | guard) - _pack(b, width)) & guard == guard
+    assert divides == all(x >= y for x, y in zip(a, b))
+
+
+@given(dividing_pair())
+def test_packed_difference_is_the_quotient(case):
+    width, a, b = case
+    guard = _guard(len(a), width)
+    assert ((_pack(a, width) | guard) - _pack(b, width)) & guard == guard
+    quotient = tuple(x - y for x, y in zip(a, b))
+    assert _pack(a, width) - _pack(b, width) == _pack(quotient, width)
+
+
+@given(packed_vectors(8), st.data())
+def test_packed_order_within_a_degree_is_graded_lex(case, data):
+    width, vectors = case
+    degrees = data.draw(st.lists(st.integers(1, 3), min_size=len(vectors[0]),
+                                 max_size=len(vectors[0])))
+    ring = PolyRing(Coeffs.F2, [(f"x{i}", d) for i, d in enumerate(degrees)])
+    packed = sorted(vectors, key=lambda e: (ring.weighted_degree(e), _pack(e, width)))
+    assert packed == sorted(vectors, key=ring.order_key)
+
+
+def test_wide_monomials_after_a_narrow_reduction():
+    # each presentation first caches its basis packed at a narrow width
+    free = free_presentation(Coeffs.INT, [("x", 2), ("y", 2)])
+    ring = free.ring
+    assert free.element("x*y").poly == ring.parse("x*y")
+    wide = ring.monomial((2**40, 1))
+    assert free.normal_form(wide) == wide
+    tower = Presentation(ring, [ring.parse("x^3")], Strategy.MONIC_TOWER).complete()
+    assert tower.element("y").poly == ring.parse("y")  # too narrow for x^3
+    assert tower.element("x^2*y + y^2").poly == ring.parse("x^2*y + y^2")
+    assert tower.normal_form(ring.monomial((2**40, 0))).is_zero()
+    assert tower.normal_form(ring.monomial((2, 2**40))) == ring.monomial((2, 2**40))
+    assert free.element("x*y") ** 2**40 == free.element(ring.monomial((2**40, 2**40)))
+    big = 2**40
+    binomial = {(j, big - j): math.comb(big, j) for j in range(3)}
+    assert (tower.element("x + y") ** big).poly == Polynomial(ring, binomial)
+    f2 = free_presentation(Coeffs.F2, [("x", 1), ("y", 1)])
+    assert f2.element("x + y") ** 2**40 == f2.element(f"x^{2**40} + y^{2**40}")
