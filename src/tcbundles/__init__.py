@@ -8,6 +8,10 @@ their Euler classes (:mod:`bundles`), the vanishing criteria that turn Euler
 class powers into motion-planning lower bounds (:mod:`obstruct`), and the
 closed-form geodesic planners with a numeric verification harness
 (:mod:`geomplan`).  :mod:`cli` exposes everything as a command line tool.
+
+Only :mod:`geomplan` needs numpy.  Its names are re-exported here lazily: the
+first access to one of them (or a ``planner`` run of the CLI) imports
+:mod:`geomplan`, and with it numpy, so the algebra starts without it.
 """
 
 from .bundles import (
@@ -24,30 +28,6 @@ from .bundles import (
     q_tilde_ring,
     reduce_mod2,
     trivial_bundle,
-)
-from .geomplan import (
-    GeometryError,
-    Planner,
-    PlannerReport,
-    PlannerRule,
-    ProjPoint,
-    SpherePoint,
-    build_sphere_planner,
-    complex_structure,
-    geodesic_c,
-    line_error,
-    lines_equal,
-    pi_inverse,
-    pi_map,
-    proj_pi_inverse,
-    proj_pi_map,
-    proj_rho,
-    proj_roundtrip_error,
-    proj_sigma,
-    rho_sphere,
-    sigma_sphere,
-    sphere_roundtrip_error,
-    verify_planner,
 )
 from .obstruct import (
     InternalDisagreementError,
@@ -89,3 +69,36 @@ from .ringquot import (
 )
 
 __version__ = "0.1.0"
+
+_GEOMPLAN_NAMES = (
+    "GeometryError",
+    "Planner",
+    "PlannerReport",
+    "PlannerRule",
+    "ProjPoint",
+    "SpherePoint",
+    "build_sphere_planner",
+    "complex_structure",
+    "geodesic_c",
+    "line_error",
+    "lines_equal",
+    "pi_inverse",
+    "pi_map",
+    "proj_pi_inverse",
+    "proj_pi_map",
+    "proj_rho",
+    "proj_roundtrip_error",
+    "proj_sigma",
+    "rho_sphere",
+    "sigma_sphere",
+    "sphere_roundtrip_error",
+    "verify_planner",
+)
+
+
+def __getattr__(name: str):
+    if name in _GEOMPLAN_NAMES:
+        from . import geomplan
+
+        return getattr(geomplan, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

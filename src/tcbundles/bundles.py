@@ -59,6 +59,10 @@ class BundleError(ValueError):
     """Invalid bundle description."""
 
 
+class GeometryError(ValueError):
+    """Input outside the domain of an exact formula (raised by :mod:`geomplan`)."""
+
+
 _FIBRE_NAMES = ("t", "S", "T", "X", "Y", "Z")
 
 

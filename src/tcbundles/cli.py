@@ -21,8 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bundles import BundleError, BundleSpec, KField, make_bundle
-from .geomplan import GeometryError, build_sphere_planner, verify_planner
+from .bundles import BundleError, BundleSpec, GeometryError, KField, make_bundle
 from .obstruct import (
     InternalDisagreementError,
     NotFoundUpTo,
@@ -413,6 +412,9 @@ def main(argv: list[str] | None = None) -> int:
             k_max = _search_bound(spec, args.kmax)
             lines = _criteria_lines(spec, run_criteria(spec, k_max), k_max, args.machine)
         elif args.command == "planner":
+            # geomplan pulls in numpy, which criteria and ring never need
+            from .geomplan import build_sphere_planner, verify_planner
+
             report = verify_planner(build_sphere_planner(args.n), args.samples, args.seed)
             code = 0 if report.passed else 1
             lines = report.lines() if args.machine else [

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bundles import KField
+from .bundles import GeometryError, KField
 
 GEOM_TOL = 1e-9
 SCALAR_TOL = 1e-12
@@ -53,10 +53,6 @@ MAX_SAMPLE_COORDINATES = 1 << 26
 # where a row alone is larger, so its temporaries stay small next to the
 # sample arrays themselves.
 _BLOCK_COORDS = 1 << 12
-
-
-class GeometryError(ValueError):
-    """Input outside the domain of an exact formula."""
 
 
 # -- K-scalar arithmetic -----------------------------------------------------------

@@ -1,7 +1,14 @@
 """End-to-end command line tests: parsing, criteria output, dumps, planner."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import tcbundles
 from tcbundles import Coeffs, KField, PolyRing, render_polynomial
 from tcbundles.cli import main, parse_spec_file, run_criteria
 from tcbundles.geomplan import MAX_SAMPLE_COORDINATES
@@ -467,3 +474,35 @@ def test_planner_human_output(capsys):
     assert code == 0
     assert "sphere planner on S^1" in out
     assert "passed = true" in out
+
+
+# -- lazy numpy ----------------------------------------------------------------------
+
+LAZY_IMPORT_CHECK = textwrap.dedent("""
+    import contextlib, io, sys
+    import tcbundles
+    from tcbundles import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["criteria", "specs/rp3_bundle.spec"]) == 0
+        assert cli.main(["ring", "specs/rp3_bundle.spec", "--which", "feder"]) == 0
+    print("numpy" in sys.modules)
+    from tcbundles import geomplan
+    for name in tcbundles._GEOMPLAN_NAMES:
+        assert getattr(tcbundles, name) is getattr(geomplan, name), name
+    try:
+        tcbundles.no_such_name
+    except AttributeError:
+        print("ok")
+""")
+
+
+def test_criteria_and_ring_run_without_numpy():
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(tcbundles.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", LAZY_IMPORT_CHECK], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "ok"]
+    assert len(tcbundles._GEOMPLAN_NAMES) == 22
