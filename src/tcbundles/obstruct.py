@@ -275,13 +275,15 @@ def _t_division_powers(b: BundleSpec) -> Iterator[dict[int, Element]]:
         work: dict[int, Element] = {}
         for i, c in power.items():
             for j, x in x_n.items():
-                work[i + j] = work.get(i + j, base.zero()) + c * x
+                term = c * x
+                work[i + j] = work[i + j] + term if i + j in work else term
         while work and max(work) > n:
             top = max(work)
             lead = work.pop(top)
             for j, w in tail.items():
                 slot = top - (n + 1) + j
-                work[slot] = work.get(slot, base.zero()) - lead * w
+                term = lead * w
+                work[slot] = work[slot] - term if slot in work else -term
         power = {j: c for j, c in work.items() if not c.is_zero()}
 
 

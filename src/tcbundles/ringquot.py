@@ -30,29 +30,46 @@ A presentation may carry a ``truncation`` degree: every element of weighted
 degree above it is zero in the quotient.  The truncation is semantic, i.e. it
 is part of the ring being presented, not a computational shortcut.
 
-The reducer, the completion and the walk pack a monomial into one int, the
-packed exponent vector of Bachmann and Schoenemann (ISSAC '98): exponent i
-fills field i of ``width`` bits, generator n-1 most significant, so within
-one degree integer order is graded-lex order.  The top bit of each field is
-a guard bit that no exponent reaches.  With G the mask of guard bits, a lead
-l divides m exactly when ``((m | G) - l) & G == G``: each field of the
-difference is m_i + 2^(width-1) - l_i, which lies in [0, 2^width), so no
-field borrows from the next, and it keeps its guard bit just when
-m_i >= l_i.  The quotient is ``m - l``.  An exponent is at most the degree
-of its monomial and a rewrite keeps degrees, so the width holds the
-truncation degree or, on an untruncated ring, the largest degree among the
-terms being reduced; each completed presentation caches its basis packed
-at every width it has used.
+Every monomial is packed into one int, the packed exponent vector of
+Bachmann and Schoenemann (ISSAC '98): exponent i fills field i of ``width``
+bits, generator n-1 most significant, and the weighted degree sits above the
+last field, so integer order is graded-lex order across all degrees.  The
+top bit of each exponent field is a guard bit that no exponent reaches.
+With G the mask of guard bits, a lead l divides m exactly when
+``((m | G) - l) & G == G``: each field of the difference is
+m_i + 2^(width-1) - l_i, which lies in [0, 2^width), so no field borrows
+from the next, and it keeps its guard bit just when m_i >= l_i.  The degree
+field takes no part in the test.  The quotient is ``m - l`` and a product is
+``m + l``, degree field included.  An exponent is at most the degree of its
+monomial, so the width holds the truncation degree or, on an untruncated
+ring, the largest degree an operation can produce.  The exponents of two
+factors below 2^(width-1) sum below 2^width, so a product never carries
+into the next field, even above the truncation, and with
+``limit = (truncation + 1) << (n * width)`` the truncation test of a
+product is the single compare ``m < limit``.  Packing a vector whose
+exponents overflow their fields only sets more bits, so it too lands at or
+above the limit when its degree is above the truncation.
+
+Elements stay packed: an ``Element`` holds its normal form as a map from
+packed monomials to coefficients.  A product is a packed convolution
+followed by ``_reduce``; a sum or difference merges the maps, as a sum of
+normal forms is a normal form.  A truncated presentation packs at the one
+width of its truncation.  On an untruncated one an operation repacks its
+operands to the width its result's degree needs, which grows only
+logarithmically along a power sequence.  A ``Polynomial`` is built only
+when ``Element.poly`` is read.  Each completed presentation caches its
+basis packed at every width it has used.
 
 Dimensions are counted on the standard monomials, those that no lead of the
 completed basis divides; they form a basis of the quotient in each degree.
 A divisor of a standard monomial is standard, so they form an order ideal,
 and one depth-first walk from 1 that raises one exponent at a time and stops
 at the first multiple of a lead visits each of them once, never touching the
-far larger set of all monomials.  Raising generator i adds ``1 << (i*width)``
-to the packed monomial.  ``Presentation.dimensions(top)`` counts every
-degree up to ``top`` in that one walk and caches the counts; ``dimension``,
-``top_degree`` and ``verify_cell_dimensions`` read them.
+far larger set of all monomials.  Raising generator i of degree d adds
+``(1 << i*width) + (d << n*width)`` to the packed monomial.
+``Presentation.dimensions(top)`` counts every degree up to ``top`` in that
+one walk and caches the counts; ``dimension``, ``top_degree`` and
+``verify_cell_dimensions`` read them.
 """
 
 from __future__ import annotations
@@ -61,6 +78,7 @@ from collections import Counter
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from itertools import count
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .polyalg import Coeffs, ExpVec, PolyRing, Polynomial, RingMismatchError, power
@@ -92,8 +110,10 @@ def _guard(n: int, width: int) -> int:
     return sum(1 << (i * width + width - 1) for i in range(n))
 
 
-def _pack(exps: ExpVec, width: int) -> int:
-    m = 0
+def _pack(exps: ExpVec, width: int, degrees: Sequence[int]) -> int:
+    """Exponent i in field i of ``width`` bits, the weighted degree above
+    the last field."""
+    m = sum(map(mul, exps, degrees))
     for x in reversed(exps):
         m = (m << width) | x
     return m
@@ -102,6 +122,15 @@ def _pack(exps: ExpVec, width: int) -> int:
 def _unpack(m: int, n: int, width: int) -> ExpVec:
     mask = (1 << width) - 1
     return tuple([(m >> (i * width)) & mask for i in range(n)])
+
+
+def _widen(m: int, n: int, width: int, wider: int) -> int:
+    """Repack m from fields of ``width`` bits to fields of ``wider`` bits."""
+    mask = (1 << width) - 1
+    out = m >> (n * width)
+    for i in range(n - 1, -1, -1):
+        out = (out << wider) | ((m >> (i * width)) & mask)
+    return out
 
 
 class Presentation:
@@ -146,8 +175,8 @@ class Presentation:
         if strategy is Strategy.MONIC_TOWER:
             rels = _tower_normalize(ring, rels)
         self.relations = tuple(rels)
-        # width -> (width, guard bits, packed basis), filled by ``_packed``
-        self._packs: dict[int, tuple[int, int, tuple[_BasisElement, ...]]] = {}
+        # width -> (guard bits, packed basis), filled by ``_packed``
+        self._packs: dict[int, tuple[int, tuple[_BasisElement, ...]]] = {}
         # dimensions in degrees 0, 1, ..., filled by ``dimensions``
         self._dims: list[int] | None = None
         self._hash: int | None = None
@@ -173,39 +202,52 @@ class Presentation:
     # -- normal forms ----------------------------------------------------------
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        if not self.completed:
-            raise PresentationError("presentation must be completed first")
-        if p.ring != self.ring:
-            raise RingMismatchError("polynomial lives in a different ring")
-        ring, trunc = self.ring, self.truncation
-        top = max(map(ring.weighted_degree, p._terms), default=0) if trunc is None else trunc
-        width, guard, basis = self._packed(top)
-        # rewrites keep degrees, so terms above the truncation stay zero
-        work = {_pack(e, width): c for e, c in p._terms.items()
-                if trunc is None or ring.weighted_degree(e) <= trunc}
-        reduced = _reduce(work, basis, guard, ring.coeffs is Coeffs.F2)
-        return Polynomial(ring, {_unpack(m, ring.ngens, width): c for m, c in reduced.items()})
+        """The normal form of ``p``, unpacked."""
+        return self.element(p).poly
 
-    def _packed(self, top: int) -> tuple[int, int, tuple["_BasisElement", ...]]:
-        """Width, guard bits and basis packed for monomials of degree <= top
-        (<= the truncation, if any), cached per width.  Elements of a degree
-        the width does not hold are left out: their leads divide nothing it
-        holds."""
+    def _width_for(self, top: int) -> int:
+        """Field width for monomials of degree <= top; a truncated
+        presentation packs everything at the width of its truncation."""
+        return _width(top if self.truncation is None else self.truncation)
+
+    def _packed(self, width: int) -> tuple[int, tuple["_BasisElement", ...]]:
+        """Guard bits and basis packed at ``width``, cached per width.
+        Elements of a degree the width does not hold are left out: their
+        leads divide nothing it holds."""
         if not self.completed:
             raise PresentationError("presentation must be completed first")
-        width = _width(top if self.truncation is None else self.truncation)
         if width not in self._packs:
-            self._packs[width] = (width, _guard(self.ring.ngens, width), tuple(
-                _lead_and_tail({_pack(e, width): c for e, c in r._terms.items()})
+            degrees = self.ring.degrees
+            self._packs[width] = (_guard(self.ring.ngens, width), tuple(
+                _lead_and_tail({_pack(e, width, degrees): c for e, c in r._terms.items()})
                 for r in self.relations if r.degree() < 1 << width - 1))
         return self._packs[width]
+
+    def _reduced(self, work: dict[int, int], width: int) -> "Element":
+        """The element of a packed polynomial (consumed) at ``width``."""
+        guard, basis = self._packed(width)
+        return Element(self, _reduce(work, basis, guard, self.ring.coeffs is Coeffs.F2),
+                       width)
 
     def element(self, p: "Polynomial | str | int") -> "Element":
         if isinstance(p, str):
             p = self.ring.parse(p)
         elif isinstance(p, int):
             p = self.ring.const(p)
-        return Element(self, self.normal_form(p))
+        if not self.completed:
+            raise PresentationError("presentation must be completed first")
+        if p.ring != self.ring:
+            raise RingMismatchError("polynomial lives in a different ring")
+        top = p.degree() if self.truncation is None else self.truncation
+        width = _width(top)
+        limit = (top + 1) << (self.ring.ngens * width)
+        degrees = self.ring.degrees
+        work = {}
+        for e, c in p._terms.items():
+            m = _pack(e, width, degrees)
+            if m < limit:  # rewrites keep degrees: terms above the truncation stay zero
+                work[m] = c
+        return self._reduced(work, width)
 
     def zero(self) -> "Element":
         return self.element(0)
@@ -247,14 +289,13 @@ class Presentation:
         """
         if degree < 0 or (self.truncation is not None and degree > self.truncation):
             return []
-        width, n = self._packed(degree)[0], self.ring.ngens
-        out = [_unpack(m, n, width) for m, d in self._walk(degree) if d == degree]
-        out.sort(key=self.ring.order_key)
-        return out
+        width, n = self._width_for(degree), self.ring.ngens
+        return [_unpack(m, n, width)
+                for m in sorted(m for m, d in self._walk(degree) if d == degree)]
 
     def _walk(self, top: int) -> Iterator[tuple[int, int]]:
-        """Every standard monomial of weighted degree <= top, packed at the
-        width ``_packed(top)`` gives, with its degree.
+        """Every standard monomial of weighted degree <= top, packed at
+        ``_width_for(top)``, with its degree.
 
         Depth-first from 1, raising one exponent at a time and never at a
         generator before the last one raised, so each monomial is reached
@@ -263,10 +304,13 @@ class Presentation:
         generator i to exponent x can only bring in a lead whose exponent at
         i is x, so leads are indexed by (i, x).
         """
-        width, guard, basis = self._packed(top)
+        width = self._width_for(top)
+        guard, basis = self._packed(width)
         degrees = self.ring.degrees
         n = len(degrees)
-        mask = (1 << width) - 1
+        shift, mask = n * width, (1 << width) - 1
+        limit = (top + 1) << shift
+        raise_by = [(1 << i * width) + (d << shift) for i, d in enumerate(degrees)]
         by_raise: dict[tuple[int, int], list[int]] = {}
         for lead, _ in basis:
             if not lead:
@@ -274,19 +318,18 @@ class Presentation:
             for i, x in enumerate(_unpack(lead, n, width)):
                 if x:
                     by_raise.setdefault((i, x), []).append(lead)
-        stack = [(0, 0, 0)]
+        stack = [(0, 0)]
         while stack:
-            m, degree, first = stack.pop()
-            yield m, degree
+            m, first = stack.pop()
+            yield m, m >> shift
             for i in range(first, n):
-                d = degree + degrees[i]
-                if d > top:
+                raised = m + raise_by[i]
+                if raised >= limit:
                     continue
-                raised = m + (1 << i * width)
                 leads = by_raise.get((i, ((m >> i * width) & mask) + 1), ())
                 rg = raised | guard
                 if not any((rg - lead) & guard == guard for lead in leads):
-                    stack.append((raised, d, i))
+                    stack.append((raised, i))
 
     def dimension(self, degree: int) -> int:
         return self.dimensions(degree)[degree] if degree >= 0 else 0
@@ -441,7 +484,7 @@ def _buchberger(
 
     Monomials are packed at the width of the truncation; terms above it are
     dropped from the relations on entry.  Each S-pair is keyed once, when it
-    is created, by (weighted degree of the lcm of its leads, minus its
+    is created, by (degree field of the packed lcm of its leads, minus its
     creation number), and waits in a heap: pairs pop lowest degree first
     and, within a degree, newest first.  A pair is never queued when both
     elements are monomials (checked before a creation number is taken, so
@@ -456,8 +499,9 @@ def _buchberger(
     basis with the same leading ideal; each remaining tail is reduced once
     against it.  That is the unique reduced basis up to the truncation.
     """
-    n, width = ring.ngens, _width(trunc)
-    guard = _guard(n, width)
+    n, width, degrees = ring.ngens, _width(trunc), ring.degrees
+    guard, shift = _guard(n, width), n * width
+    limit = (trunc + 1) << shift
     basis: list[_BasisElement] = []
     leads: list[tuple[ExpVec, int]] = []  # unpacked lead and its generator bitmask
     redundant: set[int] = set()  # indices of elements whose lead a later lead divides
@@ -477,16 +521,15 @@ def _buchberger(
             other_exps, other_gens = leads[k]
             if not gens & other_gens:
                 continue  # coprime leads
-            lcm = tuple(map(max, other_exps, exps))
-            degree = ring.weighted_degree(lcm)
-            if degree <= trunc:
-                heappush(pairs, (degree, -number, _pack(lcm, width), k, len(basis)))
+            lcm = _pack(tuple(map(max, other_exps, exps)), width, degrees)
+            if lcm < limit:
+                heappush(pairs, (lcm >> shift, -number, lcm, k, len(basis)))
         basis.append(element)
         leads.append((exps, gens))
 
     for r in relations:
-        reduced = _reduce({_pack(e, width): c for e, c in r._terms.items()
-                           if ring.weighted_degree(e) <= trunc}, basis, guard, True)
+        packed = (_pack(e, width, degrees) for e in r._terms)
+        reduced = _reduce({m: 1 for m in packed if m < limit}, basis, guard, True)
         if reduced:
             add(reduced)
     while pairs:
@@ -499,49 +542,91 @@ def _buchberger(
         if reduced:
             add(reduced)
 
-    minimal = [el for k, el in enumerate(basis) if k not in redundant]
-    polys = [Polynomial(ring, {_unpack(e, n, width): 1 for e in
-                               (lead, *_reduce(dict(tail), minimal, guard, True))})
-             for lead, tail in minimal]
-    polys.sort(key=lambda p: ring.order_key(p.leading_exponents()))
-    return tuple(polys)
+    # no two leads are equal, so the elements sort by lead: graded-lex order
+    minimal = sorted(el for k, el in enumerate(basis) if k not in redundant)
+    return tuple(Polynomial(ring, {_unpack(e, n, width): 1 for e in
+                                   (lead, *_reduce(dict(tail), minimal, guard, True))})
+                 for lead, tail in minimal)
 
 
 class Element:
-    """An element of a presented quotient ring, stored in normal form."""
+    """An element of a presented quotient ring, kept packed in normal form.
 
-    __slots__ = ("pres", "poly")
+    ``_terms`` maps packed monomials of width ``_width`` to nonzero
+    coefficients (1 over F2); ``poly`` unpacks them on first read.
+    """
 
-    def __init__(self, pres: Presentation, poly_in_normal_form: Polynomial):
+    __slots__ = ("pres", "_terms", "_width", "_poly")
+
+    def __init__(self, pres: Presentation, terms: dict[int, int], width: int):
         self.pres = pres
-        self.poly = poly_in_normal_form
+        self._terms = terms
+        self._width = width
+        self._poly: Polynomial | None = None
 
-    def _check(self, other: "Element") -> None:
-        if self.pres != other.pres:
-            raise RingMismatchError("elements belong to different presentations")
+    @property
+    def poly(self) -> Polynomial:
+        if self._poly is None:
+            n, width = self.pres.ring.ngens, self._width
+            self._poly = Polynomial(self.pres.ring, {
+                _unpack(m, n, width): c for m, c in self._terms.items()})
+        return self._poly
 
     def _coerce(self, other: "Element | Polynomial | int") -> "Element":
-        if isinstance(other, Element):
-            return other
-        return self.pres.element(other)
+        if not isinstance(other, Element):
+            return self.pres.element(other)
+        if other.pres is not self.pres and other.pres != self.pres:
+            raise RingMismatchError("elements belong to different presentations")
+        return other
+
+    def _at(self, width: int) -> dict[int, int]:
+        """The terms packed at ``width`` >= the element's own width."""
+        if width == self._width:
+            return self._terms
+        n, own = self.pres.ring.ngens, self._width
+        return {_widen(m, n, own, width): c for m, c in self._terms.items()}
+
+    def _merge(self, other: "Element | Polynomial | int", sign: int) -> "Element":
+        """self + sign * other.  A sum of normal forms is a normal form."""
+        other = self._coerce(other)
+        width = max(self._width, other._width)
+        terms, others = self._at(width), other._at(width)
+        if self.pres.ring.coeffs is Coeffs.F2:
+            return Element(self.pres, dict.fromkeys(terms.keys() ^ others.keys(), 1), width)
+        out = dict(terms)
+        for m, c in others.items():
+            c = out.get(m, 0) + sign * c
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return Element(self.pres, out, width)
 
     def __add__(self, other: "Element | Polynomial | int") -> "Element":
-        other = self._coerce(other)
-        self._check(other)
-        return Element(self.pres, self.pres.normal_form(self.poly + other.poly))
+        return self._merge(other, 1)
 
     def __sub__(self, other: "Element | Polynomial | int") -> "Element":
-        other = self._coerce(other)
-        self._check(other)
-        return Element(self.pres, self.pres.normal_form(self.poly - other.poly))
+        return self._merge(other, -1)
 
     def __neg__(self) -> "Element":
-        return Element(self.pres, self.pres.normal_form(-self.poly))
+        if self.pres.ring.coeffs is Coeffs.F2:
+            return self
+        return Element(self.pres, {m: -c for m, c in self._terms.items()}, self._width)
 
     def __mul__(self, other: "Element | Polynomial | int") -> "Element":
         other = self._coerce(other)
-        self._check(other)
-        return Element(self.pres, self.pres.normal_form(self.poly * other.poly))
+        pres = self.pres
+        top = self.degree() + other.degree() if pres.truncation is None else pres.truncation
+        width = max(_width(top), self._width, other._width)
+        limit = (top + 1) << (pres.ring.ngens * width)
+        work: dict[int, int] = {}
+        others = other._at(width).items()
+        for ma, ca in self._at(width).items():
+            for mb, cb in others:
+                m = ma + mb
+                if m < limit:
+                    work[m] = work.get(m, 0) + ca * cb
+        return pres._reduced(work, width)
 
     def __rmul__(self, other: int) -> "Element":
         return self * other
@@ -550,19 +635,22 @@ class Element:
         return power(self, exponent, self.pres.one())
 
     def is_zero(self) -> bool:
-        return self.poly.is_zero()
+        return not self._terms
 
     def degree(self) -> int:
-        return self.poly.degree()
+        """Largest weighted degree of a term; 0 for zero."""
+        if not self._terms:
+            return 0
+        return max(self._terms) >> (self.pres.ring.ngens * self._width)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Polynomial)):
             other = self.pres.element(other)
-        return (
-            isinstance(other, Element)
-            and self.pres == other.pres
-            and self.poly == other.poly
-        )
+        if not isinstance(other, Element) or (
+                other.pres is not self.pres and other.pres != self.pres):
+            return False
+        width = max(self._width, other._width)
+        return self._at(width) == other._at(width)
 
     def __hash__(self) -> int:
         return hash((self.pres, self.poly))

@@ -640,7 +640,8 @@ def test_walk_needs_a_completed_presentation():
 
 @st.composite
 def packed_vectors(draw, size: int):
-    """A field width and ``size`` exponent vectors of one length that it holds.
+    """A field width, generator degrees and ``size`` exponent vectors of one
+    length that the width holds.
 
     The width is the one for degree 2^k - 1 or for 2^k, so both sides of a
     bit boundary come up, and the entries favour 0, 2^k - 1 and the largest
@@ -650,50 +651,98 @@ def packed_vectors(draw, size: int):
     top = draw(st.sampled_from((2**k - 1, 2**k)))
     entry = st.sampled_from((0, 2**k - 1, top)) | st.integers(0, top)
     n = draw(st.integers(1, 5))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     vectors = draw(st.lists(st.tuples(*[entry] * n), min_size=size, max_size=size))
-    return _width(top), vectors
+    return _width(top), degrees, vectors
 
 
 @st.composite
 def dividing_pair(draw):
-    """A width and exponent vectors a, b that it holds, with b dividing a."""
-    width, (a,) = draw(packed_vectors(1))
+    """A width, degrees and exponent vectors a, b that it holds, with b
+    dividing a."""
+    width, degrees, (a,) = draw(packed_vectors(1))
     b = tuple(draw(st.integers(0, x)) for x in a)
-    return width, a, b
+    return width, degrees, a, b
+
+
+def _degree(e, degrees) -> int:
+    return sum(x * d for x, d in zip(e, degrees))
 
 
 @given(packed_vectors(1))
 def test_pack_roundtrip_leaves_the_guard_bits_clear(case):
-    width, (a,) = case
-    assert _unpack(_pack(a, width), len(a), width) == a
-    assert _pack(a, width) & _guard(len(a), width) == 0
+    width, degrees, (a,) = case
+    m = _pack(a, width, degrees)
+    assert _unpack(m, len(a), width) == a
+    assert m & _guard(len(a), width) == 0
+    assert m >> len(a) * width == _degree(a, degrees)
 
 
 @given(packed_vectors(2))
 def test_guard_test_is_the_exponentwise_divisibility_test(case):
-    width, (a, b) = case
+    # the degree field sits above the guarded fields and never changes the test
+    width, degrees, (a, b) = case
     guard = _guard(len(a), width)
-    divides = ((_pack(a, width) | guard) - _pack(b, width)) & guard == guard
+    divides = ((_pack(a, width, degrees) | guard) - _pack(b, width, degrees)) & guard == guard
     assert divides == all(x >= y for x, y in zip(a, b))
 
 
 @given(dividing_pair())
 def test_packed_difference_is_the_quotient(case):
-    width, a, b = case
+    width, degrees, a, b = case
     guard = _guard(len(a), width)
-    assert ((_pack(a, width) | guard) - _pack(b, width)) & guard == guard
+    pa, pb = _pack(a, width, degrees), _pack(b, width, degrees)
+    assert ((pa | guard) - pb) & guard == guard
     quotient = tuple(x - y for x, y in zip(a, b))
-    assert _pack(a, width) - _pack(b, width) == _pack(quotient, width)
+    assert pa - pb == _pack(quotient, width, degrees)
 
 
-@given(packed_vectors(8), st.data())
-def test_packed_order_within_a_degree_is_graded_lex(case, data):
-    width, vectors = case
-    degrees = data.draw(st.lists(st.integers(1, 3), min_size=len(vectors[0]),
-                                 max_size=len(vectors[0])))
+@given(packed_vectors(8))
+def test_packed_order_within_a_degree_is_graded_lex(case):
+    # the degree field on top makes integer order graded-lex across degrees too
+    width, degrees, vectors = case
     ring = PolyRing(Coeffs.F2, [(f"x{i}", d) for i, d in enumerate(degrees)])
-    packed = sorted(vectors, key=lambda e: (ring.weighted_degree(e), _pack(e, width)))
+    packed = sorted(vectors, key=lambda e: _pack(e, width, degrees))
     assert packed == sorted(vectors, key=ring.order_key)
+
+
+@st.composite
+def truncated_pair(draw):
+    """A truncation, degrees and two exponent vectors each of degree at most
+    the truncation."""
+    trunc = draw(st.integers(1, 2**20) | st.sampled_from((1, 2, 3, 4, 7, 8, 15, 16)))
+    n = draw(st.integers(1, 5))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    pair = []
+    for _ in range(2):
+        room, e = trunc, []
+        for d in draw(st.permutations(range(n))):
+            x = draw(st.integers(0, room // degrees[d]))
+            room -= x * degrees[d]
+            e.append((d, x))
+        pair.append(tuple(x for _, x in sorted(e)))
+    return trunc, degrees, pair
+
+
+@given(truncated_pair())
+def test_products_never_carry_and_truncate_by_one_compare(case):
+    trunc, degrees, (a, b) = case
+    n, width = len(a), _width(trunc)
+    product = _pack(a, width, degrees) + _pack(b, width, degrees)
+    degree = _degree(a, degrees) + _degree(b, degrees)
+    assert _unpack(product, n, width) == tuple(x + y for x, y in zip(a, b))
+    assert product >> n * width == degree
+    assert (product < (trunc + 1) << n * width) == (degree <= trunc)
+
+
+@given(truncated_pair(), st.lists(st.integers(0, 2**22), min_size=1, max_size=5))
+def test_packing_above_the_truncation_lands_at_or_above_the_limit(case, wild):
+    # exponents too wide for their field only set more bits
+    trunc, degrees, _ = case
+    e = tuple(wild[i % len(wild)] for i in range(len(degrees)))
+    width = _width(trunc)
+    limit = (trunc + 1) << len(e) * width
+    assert (_pack(e, width, degrees) < limit) == (_degree(e, degrees) <= trunc)
 
 
 def test_wide_monomials_after_a_narrow_reduction():
@@ -714,3 +763,72 @@ def test_wide_monomials_after_a_narrow_reduction():
     assert (tower.element("x + y") ** big).poly == Polynomial(ring, binomial)
     f2 = free_presentation(Coeffs.F2, [("x", 1), ("y", 1)])
     assert f2.element("x + y") ** 2**40 == f2.element(f"x^{2**40} + y^{2**40}")
+
+
+# -- packed element arithmetic against normal forms of polynomials ------------------------
+
+
+def _packed_kinds() -> dict[str, Presentation]:
+    f2 = PolyRing(Coeffs.F2, [("a", 1), ("b", 1), ("c", 2)])
+    truncated = Presentation(f2, [f2.parse("a^2*b + b*c"), f2.parse("a*c^2 + b^3*c")],
+                             Strategy.GROEBNER_F2, 7).complete()
+    zring = PolyRing(Coeffs.INT, [("x", 2), ("y", 2)])
+    tower = Presentation(zring, [zring.parse("y^2 + 3*x*y - 2*x^2")],
+                         Strategy.MONIC_TOWER).complete()
+    return {
+        "f2_truncated": truncated,
+        "f2_free": free_presentation(Coeffs.F2, [("a", 1), ("b", 1), ("c", 2)]),
+        "z_tower": tower,
+    }
+
+
+PACKED_KINDS = _packed_kinds()
+
+
+@st.composite
+def packed_operands(draw):
+    """A presentation of one of the three kinds and two polynomials of its
+    ring with a few terms of degree at most 8."""
+    pres = PACKED_KINDS[draw(st.sampled_from(sorted(PACKED_KINDS)))]
+    ring = pres.ring
+    coeff = st.integers(0, 1) if ring.coeffs is Coeffs.F2 else st.integers(-3, 3)
+    exps = st.tuples(*[st.integers(0, 8 // d) for d in ring.degrees]).filter(
+        lambda e: ring.weighted_degree(e) <= 8)
+    polys = [Polynomial(ring, draw(st.dictionaries(exps, coeff, max_size=4)))
+             for _ in range(2)]
+    return pres, polys
+
+
+@given(packed_operands(), st.integers(0, 4))
+def test_packed_element_arithmetic_matches_normal_forms(case, k):
+    pres, (p, q) = case
+    nf = pres.normal_form
+    a, b = pres.element(p), pres.element(q)
+    assert (a + b).poly == nf(p + q)
+    assert (a - b).poly == nf(p - q)
+    assert (-a).poly == nf(-p)
+    assert (a * b).poly == nf(p * q)
+    assert (a ** k).poly == nf(p ** k)
+    assert (a == b) == (nf(p) == nf(q))
+    # a sum keeps the wider width even when its top degree cancels
+    assert a - b == pres.element(p - q) and hash(a - b) == hash(pres.element(p - q))
+    assert a.degree() == nf(p).degree()
+    assert a.is_zero() == nf(p).is_zero()
+    assert pres.element(a.poly) == a
+
+
+def test_untruncated_power_sequences_cross_width_boundaries():
+    for name, base in (("f2_free", "a + b*c"), ("z_tower", "x + 2*y")):
+        pres = PACKED_KINDS[name]
+        e, p = pres.element(base), pres.ring.parse(base)
+        power, widths = pres.one(), set()
+        for k in range(12):
+            assert power.poly == pres.normal_form(p ** k)
+            assert power == e ** k
+            widths.add(power._width)
+            power = power * e
+        assert len(widths) >= 4
+    free = PACKED_KINDS["f2_free"]
+    low = free.element("c^4 + a") - free.element("c^4")  # kept at the width of degree 8
+    assert low._width > free.element("a")._width
+    assert low == free.element("a") and hash(low) == hash(free.element("a"))
