@@ -61,11 +61,8 @@ from .ringquot import (
     Presentation,
     PresentationError,
     Strategy,
-    derived_sub_presentation,
     free_presentation,
-    module_coordinates,
     point_presentation,
-    verify_free_basis,
 )
 
 __version__ = "0.1.0"

@@ -255,9 +255,7 @@ def _x_polynomials(b: BundleSpec, ring: PolyRing, t_name: str, up_to: int) -> li
     return xs
 
 
-def projective_ring(
-    b: BundleSpec, coeffs: Coeffs | None = None
-) -> tuple[Presentation, Element, Element]:
+def projective_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
     """Cohomology of the projectivized bundle.
 
     Adjoins one generator ``t`` of degree d (the Euler class of the Hopf line
@@ -265,7 +263,6 @@ def projective_ring(
     presentation together with ``e_zeta = x_n`` (Euler class of the
     complementary bundle) and ``e_eta = t``.
     """
-    b = _with_coeffs(b, coeffs)
     n, d = b.n, b.d
     ring, rels, strategy, trunc = _extend_presentation(b.base, [("t", d)], n * d)
     xs = _x_polynomials(b, ring, "t", n + 1)

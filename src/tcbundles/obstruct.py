@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 from .bundles import (
     BundleError,
@@ -34,9 +34,7 @@ from .ringquot import (
     Element,
     Presentation,
     Strategy,
-    derived_sub_presentation,
     free_presentation,
-    module_coordinates,
 )
 
 
@@ -113,7 +111,10 @@ def min_k_vanishing(e: Element, k_max: int) -> int | NotFoundUpTo:
     return first_vanishing(powers(e), k_max)[0]
 
 
-def _term(seq: Iterator[Element], k: int) -> Element:
+_T = TypeVar("_T")
+
+
+def _term(seq: Iterator[_T], k: int) -> _T:
     """The k-th term of a power sequence, after every check up to k."""
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -263,7 +264,7 @@ def _t_division_powers(b: BundleSpec) -> Iterator[dict[int, Element]]:
     n, base = b.n, b.base
 
     def coefficients(i: int, sign: int) -> dict[int, Element]:
-        return {j: base.element(sign * (-1) ** j * b.w(i - j).poly)
+        return {j: b.w(i - j) if sign * (-1) ** j == 1 else -b.w(i - j)
                 for j in range(i + 1) if not b.w(i - j).is_zero()}
 
     x_n = coefficients(n, 1)
@@ -311,20 +312,23 @@ def symm_sphere_test(b: BundleSpec, k: int) -> bool:
 
 
 def euler_power_x_coordinates(b: BundleSpec, power: int) -> list[Element]:
-    """Coordinates of e(zeta)^power on the module basis x_0, ..., x_n.
+    """Coordinates of e(zeta)^power on the module basis x_0, ..., x_n, as
+    elements of the base.
 
-    The projectivization is free over the base on 1, t, ..., t^n; the
-    t-coordinates are converted to the x-basis by back-substitution through
-    the unitriangular change of basis x_j = sum_i (-1)^i t^i w_(j-i).
+    The projectivization is free over the base on 1, t, ..., t^n, and
+    e(zeta)^power = x_n^power has its t-coordinates from the long division
+    by the monic fibre relation (:func:`_t_division_powers`).  They are
+    converted to the x-basis by back-substitution through the unitriangular
+    change of basis x_j = sum_i (-1)^i t^i w_(j-i).
     """
-    pres, e_zeta, _ = projective_of(b)
-    sub = derived_sub_presentation(pres, "t")
-    a = module_coordinates(e_zeta ** power, "t", b.n, sub)
-    c = [sub.zero()] * (b.n + 1)
+    base = b.base
+    t_coords = _term(_t_division_powers(b), power)
+    c = [base.zero()] * (b.n + 1)
     for i in range(b.n, -1, -1):
-        acc = a[i] if i % 2 == 0 else -a[i]
+        a = t_coords.get(i, base.zero())
+        acc = a if i % 2 == 0 else -a
         for j in range(i + 1, b.n + 1):
-            acc = acc - c[j] * sub.element(b.w(j - i).poly)
+            acc = acc - c[j] * b.w(j - i)
         c[i] = acc
     return c
 

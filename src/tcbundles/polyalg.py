@@ -106,11 +106,6 @@ class PolyRing:
     def with_generators(self, extra: Sequence[tuple[str, int]]) -> "PolyRing":
         return PolyRing(self.coeffs, list(self.generators()) + list(extra))
 
-    def without_generator(self, name: str) -> "PolyRing":
-        idx = self.index(name)
-        gens = [g for i, g in enumerate(self.generators()) if i != idx]
-        return PolyRing(self.coeffs, gens)
-
     def to_f2(self) -> "PolyRing":
         if self.coeffs is Coeffs.F2:
             return self

@@ -375,14 +375,9 @@ class Presentation:
         return f"Presentation({self.ring!r} / ({rels}){trunc}, {self.strategy.value})"
 
 
-def free_presentation(
-    coeffs: Coeffs,
-    generators: Sequence[tuple[str, int]],
-    truncation: int | None = None,
-) -> Presentation:
-    """Polynomial ring with no relations, optionally truncated."""
-    ring = PolyRing(coeffs, generators)
-    return Presentation(ring, (), Strategy.MONIC_TOWER, truncation).complete()
+def free_presentation(coeffs: Coeffs, generators: Sequence[tuple[str, int]]) -> Presentation:
+    """Polynomial ring with no relations."""
+    return Presentation(PolyRing(coeffs, generators), (), Strategy.MONIC_TOWER).complete()
 
 
 def point_presentation(coeffs: Coeffs = Coeffs.F2) -> Presentation:
@@ -660,79 +655,6 @@ class Element:
 
     def __str__(self) -> str:
         return str(self.poly)
-
-
-def derived_sub_presentation(pres: Presentation, gen_name: str) -> Presentation:
-    """Presentation on the remaining generators, keeping relations that avoid
-    the named generator.  Used as the coefficient ring for free module
-    decompositions in powers of that generator."""
-    ring = pres.ring
-    idx = ring.index(gen_name)
-    sub_ring = ring.without_generator(gen_name)
-    kept: list[Polynomial] = []
-    for r in pres.relations:
-        if all(exps[idx] == 0 for exps in r.terms):
-            terms = {
-                tuple(e for i, e in enumerate(exps) if i != idx): c
-                for exps, c in r.terms.items()
-            }
-            kept.append(Polynomial(sub_ring, terms))
-    return Presentation(sub_ring, kept, pres.strategy, pres.truncation).complete()
-
-
-def module_coordinates(
-    e: Element,
-    gen_name: str,
-    max_power: int,
-    sub: Presentation | None = None,
-) -> list[Element]:
-    """Coordinates of ``e`` in the basis ``1, g, ..., g^max_power`` over the
-    subring of the remaining generators.
-
-    The normal form of ``e`` must not involve ``g`` beyond ``max_power``;
-    otherwise the claimed decomposition fails and :class:`ModuleBasisError`
-    is raised.  Coefficients are returned reduced in ``sub`` (derived from the
-    presentation when not supplied).
-    """
-    pres = e.pres
-    idx = pres.ring.index(gen_name)
-    if sub is None:
-        sub = derived_sub_presentation(pres, gen_name)
-    buckets: list[dict[ExpVec, int]] = [dict() for _ in range(max_power + 1)]
-    for exps, c in e.poly.terms.items():
-        j = exps[idx]
-        if j > max_power:
-            raise ModuleBasisError(
-                f"normal form involves {gen_name}^{j} beyond max power {max_power}"
-            )
-        key = tuple(x for i, x in enumerate(exps) if i != idx)
-        buckets[j][key] = buckets[j].get(key, 0) + c
-    return [sub.element(Polynomial(sub.ring, b)) for b in buckets]
-
-
-def verify_free_basis(
-    pres: Presentation,
-    gen_name: str,
-    max_power: int,
-    sub: Presentation | None = None,
-    max_degree: int | None = None,
-) -> None:
-    """Check degreewise over F2-style dimension counts that the quotient is a
-    free module over the subring with basis ``1, g, ..., g^max_power``.
-
-    Raises :class:`ModuleBasisError` at the first degree where the dimensions
-    disagree.
-    """
-    if sub is None:
-        sub = derived_sub_presentation(pres, gen_name)
-    if max_degree is None:
-        if pres.truncation is None:
-            raise ModuleBasisError("max_degree required for untruncated presentations")
-        max_degree = pres.truncation
-    gdeg = pres.ring.degrees[pres.ring.index(gen_name)]
-    cells = [0] * (max_power * gdeg + 1)
-    cells[::gdeg] = [1] * (max_power + 1)
-    verify_cell_dimensions(pres, sub, cells, max_degree, f"free basis in {gen_name}")
 
 
 def verify_cell_dimensions(

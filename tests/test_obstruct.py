@@ -25,6 +25,7 @@ from tcbundles import (
     min_k_vanishing,
     point_sphere_table,
     proj_pair_test,
+    projective_x_classes,
     sphere_divisibility_test,
     sphere_quotient_ring,
     symm_proj_test,
@@ -241,17 +242,22 @@ def test_euler_square_all_classes_zero():
 
 
 def test_euler_power_x_coordinates_reconstruct():
-    b = rp4_line_bundle()
-    pres, e_zeta, _ = projective_of(b)
-    from tcbundles import projective_x_classes
-
-    xs = projective_x_classes(b, pres)
-    for power in (1, 2, 3):
-        coords = euler_power_x_coordinates(b, power)
-        acc = pres.zero()
-        for c, x in zip(coords, xs):
-            acc = acc + pres.element(c.poly.lift(pres.ring)) * x
-        assert acc == e_zeta ** power
+    # the long division serves every field and both coefficient rings
+    bundles = [rp4_line_bundle()]
+    bundles += [random_real_bundle(random.Random(seed)) for seed in range(20)]
+    bundles += [trivial_bundle(f, rank) for f in KField for rank in (2, 3, 4)]
+    bundles += [parse_spec_file(f"specs/{name}.spec").bundle for name in SHIPPED_SPECS]
+    bundles.append(parse_spec_file("tests/specs/truncated_r3_t8.spec").bundle)
+    for b in bundles:
+        pres, e_zeta, _ = projective_of(b)
+        xs = projective_x_classes(b, pres)
+        for power in range(5):
+            coords = euler_power_x_coordinates(b, power)
+            assert all(c.pres == b.base for c in coords)
+            acc = pres.zero()
+            for c, x in zip(coords, xs):
+                acc = acc + pres.element(c.poly.lift(pres.ring)) * x
+            assert acc == e_zeta ** power, (b, power)
 
 
 # -- ordered projective pairs ---------------------------------------------------------

@@ -9,18 +9,14 @@ from hypothesis import strategies as st
 
 from tcbundles import (
     Coeffs,
-    Element,
     ModuleBasisError,
     Polynomial,
     PolyRing,
     Presentation,
     PresentationError,
     Strategy,
-    derived_sub_presentation,
     free_presentation,
-    module_coordinates,
     point_presentation,
-    verify_free_basis,
 )
 from tcbundles.bundles import _truncation_monomials
 from tcbundles.ringquot import _guard, _pack, _unpack, _width, verify_cell_dimensions
@@ -256,82 +252,30 @@ def test_point_presentation_is_one_dimensional():
     assert pres.top_degree() == 0
 
 
-# -- module coordinates --------------------------------------------------------------
+# -- free module bases ----------------------------------------------------------------
 
 
-def projective_tower(n: int) -> tuple[Presentation, PolyRing]:
-    """Generic w's adjoined a fibre class t with the monic degree n+1 relation."""
-    gens = [(f"w{i}", i) for i in range(1, n + 2)] + [("t", 1)]
-    ring = PolyRing(Coeffs.F2, gens)
-    rel = ring.parse(
-        "t^" + str(n + 1) + " + "
-        + " + ".join(f"w{i}*t^{n + 1 - i}" for i in range(1, n + 1))
-        + f" + w{n + 1}"
-    )
-    return Presentation(ring, [rel], Strategy.MONIC_TOWER).complete(), ring
+def x4_base() -> Presentation:
+    ring = PolyRing(Coeffs.F2, [("x", 1)])
+    return Presentation(ring, [ring.parse("x^4")], Strategy.MONIC_TOWER).complete()
 
 
-def x_class(pres: Presentation, ring: PolyRing, i: int) -> Element:
-    acc = ring.zero()
-    for j in range(i + 1):
-        label = ring.one() if j == i else ring.gen(f"w{i - j}")
-        acc = acc + label * ring.gen("t") ** j
-    return pres.element(acc)
-
-
-def test_module_coordinates_of_one():
-    pres, _ = projective_tower(3)
-    coords = module_coordinates(pres.one(), "t", 3)
-    assert [c.poly for c in coords] == [
-        pres.ring.without_generator("t").one()
-    ] + [pres.ring.without_generator("t").zero()] * 3
-
-
-def test_module_coordinates_euler_square():
-    # e(zeta) = x_n; its square recombines to w_n x_n + w_(n+1) x_(n-1)
-    n = 3
-    pres, ring = projective_tower(n)
-    e = x_class(pres, ring, n)
-    square = e * e
-    rhs = x_class(pres, ring, n) * pres.element(f"w{n}") + x_class(
-        pres, ring, n - 1
-    ) * pres.element(f"w{n + 1}")
-    assert square == rhs
-    sub = derived_sub_presentation(pres, "t")
-    coords = module_coordinates(square, "t", n, sub)
-    rebuilt = pres.zero()
-    for j, c in enumerate(coords):
-        rebuilt = rebuilt + pres.element(c.poly.lift(ring)) * pres.element("t") ** j
-    assert rebuilt == square
-
-
-def test_module_coordinates_rejects_overflow():
-    pres, ring = projective_tower(2)
-    with pytest.raises(ModuleBasisError):
-        module_coordinates(pres.element("t^2"), "t", 1)
-
-
-def test_verify_free_basis_accepts_projective_tower():
+def test_cell_dimensions_accept_a_projective_tower():
+    # F2[x, t]/(x^4, t^3 + x*t^2) is free over F2[x]/(x^4) on 1, t, t^2
     ring = PolyRing(Coeffs.F2, [("x", 1), ("t", 1)])
-    rel = ring.parse("t^3 + x*t^2")
-    base = Presentation(
-        PolyRing(Coeffs.F2, [("x", 1)]), [PolyRing(Coeffs.F2, [("x", 1)]).parse("x^4")],
-        Strategy.MONIC_TOWER,
-    ).complete()
     pres = Presentation(
-        ring, [ring.parse("x^4"), rel], Strategy.MONIC_TOWER, truncation=None
+        ring, [ring.parse("x^4"), ring.parse("t^3 + x*t^2")], Strategy.MONIC_TOWER
     ).complete()
-    verify_free_basis(pres, "t", 2, max_degree=8)
-    assert base.dimension(3) == 1
+    verify_cell_dimensions(pres, x4_base(), [1, 1, 1], 8, "projective tower")
 
 
-def test_verify_free_basis_detects_failure():
+def test_cell_dimensions_detect_a_missing_fibre_cell():
     ring = PolyRing(Coeffs.F2, [("x", 1), ("t", 1)])
     pres = Presentation(
         ring, [ring.parse("x^4"), ring.parse("t^3")], Strategy.MONIC_TOWER
     ).complete()
     with pytest.raises(ModuleBasisError):
-        verify_free_basis(pres, "t", 1, max_degree=6)  # true basis needs t^2
+        verify_cell_dimensions(pres, x4_base(), [1, 1], 6, "tower")  # true basis needs t^2
 
 
 def test_cell_dimension_check_fails_at_the_first_wrong_degree():
@@ -349,20 +293,6 @@ def test_cell_dimension_check_fails_at_the_first_wrong_degree():
     tight = Presentation(ring, [ring.parse("X^2"), ring.parse("a^3")],
                          Strategy.GROEBNER_F2, truncation=4).complete()
     verify_cell_dimensions(tight, base, [1, 1], 4, "toy ring")
-
-
-# -- derived sub-presentations ---------------------------------------------------
-
-
-def test_derived_sub_presentation_keeps_base_relations():
-    ring = PolyRing(Coeffs.F2, [("x", 1), ("t", 1)])
-    pres = Presentation(
-        ring, [ring.parse("x^4"), ring.parse("t^3 + x*t^2")], Strategy.MONIC_TOWER
-    ).complete()
-    sub = derived_sub_presentation(pres, "t")
-    assert sub.ring.names == ("x",)
-    assert sub.element("x^4").is_zero()
-    assert not sub.element("x^3").is_zero()
 
 
 # -- one reducer: integral towers against the stack oracle ------------------------
@@ -511,7 +441,7 @@ def test_truncated_base_with_a_fibre_relation_matches_sympy_and_oracles(seed):
     rels = _truncation_monomials(ring, [0, 1], bound)
     fibre = ring.monomial((0, 0, rank))
     for i in range(1, rank + 1):
-        base_monos = _monomials_of_degree(ring.without_generator("t"), i)
+        base_monos = _monomials_of_degree(PolyRing(Coeffs.F2, [("a", 1), ("b", 1)]), i)
         w = {e + (0,): 1 for e in base_monos if rng.random() < 0.5}
         fibre = fibre + Polynomial(ring, w) * ring.monomial((0, 0, rank - i))
     rels.append(fibre)
