@@ -48,11 +48,12 @@ CONTINUITY_RESOLUTION = 1.0 / 256.0
 # verify_planner rejects samples * (n + 1) or (n + 1)^2 above this many
 # coordinates (512 MiB of float64 per array) before it draws anything.
 MAX_SAMPLE_COORDINATES = 1 << 26
-# verify_planner splits its rows into blocks whose (rows x t-grid x dim)
-# arrays hold at most this many coordinates (32 KiB of float64), or one row
-# where a row alone is larger, so its temporaries stay small next to the
-# sample arrays themselves.
-_BLOCK_COORDS = 1 << 12
+# verify_planner keeps the arrays of each block at about this many
+# coordinates (64 KiB of float64), so its temporaries stay small next to the
+# sample arrays themselves.  Sampled rows and equivariance trials run in
+# blocks of whole rows, one row where a row alone is larger; the continuity
+# probe also splits its 513-point t-grid into chunks of at least nine points.
+_BLOCK_COORDS = 1 << 13
 
 
 # -- K-scalar arithmetic -----------------------------------------------------------
@@ -502,8 +503,13 @@ def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:
     Endpoint and diagonal errors are checked for every rule on its own
     domain, cover for the rule set as a whole, the continuity proxy along
     every accepting rule at resolution 1/256 against lipschitz/256 + 1e-6,
-    and geodesic equivariance under random orthogonal maps.  Rules run on
-    blocks of sampled rows through their broadcasting contract.
+    and geodesic equivariance under 100 random orthogonal maps.
+
+    Rules run on blocks of sampled rows through their broadcasting
+    contract.  The continuity proxy runs its rows over chunks of the t-grid
+    that overlap in one point, and the equivariance trials run in blocks
+    with one stacked QR, drawn trial by trial.  Block and chunk sizes follow
+    ``_BLOCK_COORDS``; the report does not depend on them.
     """
     if samples < 1:
         raise GeometryError(f"samples must be >= 1, got {samples}")
@@ -554,25 +560,36 @@ def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:
     step = CONTINUITY_RESOLUTION
     fine_grid = np.arange(-1.0, 1.0 + step / 2, step)[:, None]
     continuity = 0.0
-    for rows in _blocks(min(samples, 100), fine_grid.size * dim):
-        u, v = us[rows], vs[rows]
-        for domain, rule in zip(domains, rules):
-            mask = domain[rows]
-            if mask.any():
-                points = rule.path(fine_grid, u[mask], v[mask])
+    head_vs = vs[: len(heads)]
+    for domain, rule in zip(domains, rules):
+        mask = domain[: len(heads)]
+        if mask.any():
+            u, v = heads[mask], head_vs[mask]
+            # each chunk of the t-grid opens on the last point of the one
+            # before, so every consecutive step is measured exactly once; a
+            # floor of 9 points bounds the calls at large n and keeps the
+            # shared points to 1/8 of the work
+            width = max(9, _BLOCK_COORDS // (len(u) * dim))
+            for start in range(0, len(fine_grid) - 1, width - 1):
+                points = rule.path(fine_grid[start : start + width], u, v)
                 continuity = max(continuity, _max_distance(points[1:], points[:-1]))
     continuity_bound = planner.lipschitz * step + 1e-6
 
     equivariance = 0.0
-    eq_grid = np.linspace(-1.0, 1.0, 9)
-    for _ in range(100):
-        g, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        u, v = _random_units(rng, 2, dim)
-        if float(np.dot(u, v)) < -1.0 + 1e-6:
+    eq_grid = np.linspace(-1.0, 1.0, 9)[:, None]
+    for trials in _blocks(100, dim * dim):
+        # drawn trial by trial, matrix first, to keep the stream's order
+        draws = [(rng.standard_normal((dim, dim)), _random_units(rng, 2, dim))
+                 for _ in range(trials.start, trials.stop)]
+        kept = [(a, uv) for a, uv in draws if np.dot(uv[0], uv[1]) >= -1.0 + 1e-6]
+        if not kept:
             continue
-        lhs = _c_raw(eq_grid, g @ u, g @ v)
-        rhs = _c_raw(eq_grid, u, v) @ g.T
-        equivariance = max(equivariance, _max_distance(lhs, rhs))
+        a, uv = (np.array(part) for part in zip(*kept))
+        g, _ = np.linalg.qr(a)
+        u, v = uv[:, 0], uv[:, 1]
+        lhs = _c_raw(eq_grid, (g @ u[..., None])[..., 0], (g @ v[..., None])[..., 0])
+        rhs = np.swapaxes(_c_raw(eq_grid, u, v), 0, 1) @ np.swapaxes(g, 1, 2)
+        equivariance = max(equivariance, _max_distance(np.swapaxes(lhs, 0, 1), rhs))
 
     passed = (
         endpoint <= GEOM_TOL

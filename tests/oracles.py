@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: plain dict convolution for products,
 row-reduction over F2 for ideal membership, and a power-series product for
-the Gaussian binomial.  None of it shares code with the package internals.
+the Gaussian binomial.  None of it shares code with the package internals,
+except the planner's equivariance replay: it runs the package's geodesic
+kernel one trial at a time, so that it checks the batched trials of
+``verify_planner`` bit for bit.
 """
 
 from __future__ import annotations
@@ -213,3 +216,31 @@ def tower_normal_form(relations: list[Polynomial], p: Polynomial,
         else:
             out[exps] = out.get(exps, 0) + coeff
     return Polynomial(ring, out)
+
+
+# -- the planner's equivariance trials, one at a time ---------------------------------
+
+
+def planner_equivariance_error(n: int, samples: int, seed: int) -> float:
+    """``equivariance_error`` of ``verify_planner`` at (n, samples, seed), by the
+    per-trial loop: one QR, one pair and two geodesics per trial, replayed
+    from the seed after the two ``(samples, n + 1)`` sample draws."""
+    import numpy as np
+
+    from tcbundles.geomplan import _c_raw, _max_distance, _random_units
+
+    rng = np.random.default_rng(seed)
+    dim = n + 1
+    rng.standard_normal((samples, dim))
+    rng.standard_normal((samples, dim))
+    equivariance = 0.0
+    eq_grid = np.linspace(-1.0, 1.0, 9)
+    for _ in range(100):
+        g, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        u, v = _random_units(rng, 2, dim)
+        if float(np.dot(u, v)) < -1.0 + 1e-6:
+            continue
+        lhs = _c_raw(eq_grid, g @ u, g @ v)
+        rhs = _c_raw(eq_grid, u, v) @ g.T
+        equivariance = max(equivariance, _max_distance(lhs, rhs))
+    return equivariance

@@ -29,6 +29,7 @@ from tcbundles import (
     sphere_roundtrip_error,
     verify_planner,
 )
+from tcbundles import geomplan
 from tcbundles.geomplan import (
     GEOM_TOL,
     SCALAR_TOL,
@@ -39,6 +40,7 @@ from tcbundles.geomplan import (
     k_mul,
     k_scalar_mul,
 )
+from oracles import planner_equivariance_error
 
 RNG = np.random.default_rng(20240817)
 
@@ -713,6 +715,55 @@ def test_verify_report_is_deterministic():
     assert first.lines() == second.lines()
     assert any(line.startswith("max_endpoint_error=") for line in first.lines())
     assert first.lines()[-1] == "passed=true"
+
+
+@pytest.mark.parametrize("n", (1, 3, 7, 63))
+def test_verify_report_does_not_depend_on_the_block_budget(monkeypatch, n):
+    # at n = 63 one equivariance trial alone holds 64^2 = 2^12 coordinates
+    planner = build_sphere_planner(n)
+    cases = [(samples, seed) for samples in (1, 37, 300) for seed in (4, 9)]
+    reports = {}
+    for budget in (16, 64, 1 << 13, 1 << 20):
+        monkeypatch.setattr(geomplan, "_BLOCK_COORDS", budget)
+        reports[budget] = [verify_planner(planner, samples, seed).lines()
+                           for samples, seed in cases]
+    assert reports[16] == reports[64] == reports[1 << 13] == reports[1 << 20]
+    assert all(lines[-1] == "passed=true" for lines in reports[16])
+
+
+@pytest.mark.parametrize("budget", (16, 2400, 4000, 1 << 13, 1 << 20))
+def test_continuity_catches_a_jump_across_a_chunk_boundary(monkeypatch, budget):
+    # 100 accepted rows of dim 2 run over chunks of `width` t-values; chunk
+    # k + 1 opens on point k * (width - 1), the last of chunk k, so the step
+    # from point width - 1 to point width lies in the second chunk, and a
+    # chunking without the shared point never measures it
+    width = max(9, budget // (100 * 2))
+    jump = min(width - 1, 256)
+    t_jump = -1.0 + (jump + 0.5) * geomplan.CONTINUITY_RESOLUTION
+    monkeypatch.setattr(geomplan, "_BLOCK_COORDS", budget)
+
+    def accepts(u, v):
+        return np.ones(u.shape[:-1], dtype=bool)
+
+    def path(t, u, v):
+        # u above the jump and v below it: a step of |u - v| between two
+        # adjacent grid points, and no error on the diagonal or at t = +-1
+        return np.where(np.asarray(t, dtype=float)[..., None] > t_jump, u, v)
+
+    planner = Planner(n=1, rules=(PlannerRule("jump", accepts, path),), lipschitz=4.0)
+    report = verify_planner(planner, samples=100, seed=3)
+    assert report.continuity_max_step >= 0.5
+    assert not report.passed
+    assert report.max_endpoint_error == report.max_diagonal_error == 0.0
+    assert report.cover_failures == 0 and report.equivariance_error <= GEOM_TOL
+
+
+@pytest.mark.parametrize("samples", (1, 150))
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", (1, 3, 5, 7))
+def test_batched_equivariance_matches_the_per_trial_loop(n, seed, samples):
+    report = verify_planner(build_sphere_planner(n), samples, seed)
+    assert report.equivariance_error == planner_equivariance_error(n, samples, seed)
 
 
 def test_tolerances_are_wired_as_documented():
