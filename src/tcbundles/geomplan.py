@@ -431,12 +431,32 @@ def build_sphere_planner(n: int) -> Planner:
 
     def path_far(t: float | np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         u0, w = _pi_inverse_raw(x, y)
-        t = np.asarray(t, dtype=float)[..., None]
-        # the chart segments out of u0 (t >= 1/2) and into -u0 (t <= -1/2)
-        # scale w by |2t| - 1; the section crossing runs in between
-        near_u0, near_minus_u0 = _pi_raw(u0, (np.abs(2.0 * t) - 1.0) * w)
-        crossing = _sigma_raw(complex_structure(u0), 2.0 * t[..., 0], u0)
-        return np.where(t >= 0.5, near_u0, np.where(t <= -0.5, near_minus_u0, crossing))
+        t = np.asarray(t, dtype=float)
+
+        def chart(side: int) -> np.ndarray:
+            # the chart segments out of u0 and into -u0 scale w by |2t| - 1
+            return _pi_raw(u0, (np.abs(2.0 * t[..., None]) - 1.0) * w)[side]
+
+        def crossing(target: np.ndarray) -> np.ndarray:
+            # the section crossing, with its arc worked out once per pair
+            return _c_raw(np.abs(2.0 * t), complex_structure(u0), target)
+
+        # chart out of u0 for t >= 1/2, into -u0 for t <= -1/2, and in between
+        # the crossing towards u0 for t >= 0 and towards -u0 otherwise (NaN
+        # too); only the pieces some t selects are evaluated
+        out_of_u0, into_minus_u0 = t >= 0.5, t <= -0.5
+        towards_u0 = (t >= 0.0) & ~out_of_u0
+        towards_minus_u0 = ~(out_of_u0 | into_minus_u0 | towards_u0)
+        pieces = ((out_of_u0, lambda: chart(0)), (into_minus_u0, lambda: chart(1)),
+                  (towards_u0, lambda: crossing(u0)), (towards_minus_u0, lambda: crossing(-u0)))
+        path = None
+        for selects, piece in pieces:
+            if selects.all():
+                return piece()
+            if selects.any():
+                value = piece()
+                path = value if path is None else np.where(selects[..., None], value, path)
+        return path
 
     return Planner(
         n=n,
@@ -494,7 +514,11 @@ def _blocks(count: int, row_coords: int):
 
 
 def _max_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(a - b, axis=-1), initial=0.0))
+    # the largest of norm(a - b, axis=-1), which is sqrt(add.reduce(d * d)):
+    # sqrt is monotone and correctly rounded, so one root of the largest sum
+    # has the same bits as the largest root
+    d = a - b
+    return float(np.sqrt(np.max(np.add.reduce(d * d, axis=-1), initial=0.0)))
 
 
 def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:

@@ -3,9 +3,11 @@
 Everything here is deliberately naive: plain dict convolution for products,
 row-reduction over F2 for ideal membership, and a power-series product for
 the Gaussian binomial.  None of it shares code with the package internals,
-except the planner's equivariance replay: it runs the package's geodesic
-kernel one trial at a time, so that it checks the batched trials of
-``verify_planner`` bit for bit.
+except two planner replays that run the package's kernels the plain way:
+the equivariance replay runs the geodesic kernel one trial at a time, so
+that it checks the batched trials of ``verify_planner`` bit for bit, and the
+section-crossing replay evaluates every piece of the rule at every t, so that
+it checks the rule's piecewise evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -244,3 +246,21 @@ def planner_equivariance_error(n: int, samples: int, seed: int) -> float:
         rhs = _c_raw(eq_grid, u, v) @ g.T
         equivariance = max(equivariance, _max_distance(lhs, rhs))
     return equivariance
+
+
+# -- the section-crossing rule, every piece at every t ---------------------------------
+
+
+def section_crossing_path(t, x, y):
+    """``build_sphere_planner(n).rules[1].path(t, x, y)`` by the full-grid
+    formula: both chart segments and the whole crossing are evaluated for
+    every t, then one is kept by a chain of ``np.where``."""
+    import numpy as np
+
+    from tcbundles.geomplan import _pi_inverse_raw, _pi_raw, _sigma_raw, complex_structure
+
+    u0, w = _pi_inverse_raw(x, y)
+    t = np.asarray(t, dtype=float)[..., None]
+    near_u0, near_minus_u0 = _pi_raw(u0, (np.abs(2.0 * t) - 1.0) * w)
+    crossing = _sigma_raw(complex_structure(u0), 2.0 * t[..., 0], u0)
+    return np.where(t >= 0.5, near_u0, np.where(t <= -0.5, near_minus_u0, crossing))

@@ -40,7 +40,7 @@ from tcbundles.geomplan import (
     k_mul,
     k_scalar_mul,
 )
-from oracles import planner_equivariance_error
+from oracles import planner_equivariance_error, section_crossing_path
 
 RNG = np.random.default_rng(20240817)
 
@@ -589,10 +589,35 @@ def test_planner_section_rule_is_continuous_at_the_seams():
     rule = planner.rules[1]
     u, v = (random_sphere_point(4) for _ in range(2))
     eps = 1e-7
-    for seam in (-0.5, 0.5):
+    for seam in (-0.5, 0.0, 0.5):
         before = rule.path(seam - eps, u, v)
         after = rule.path(seam + eps, u, v)
         assert np.linalg.norm(before - after) < 1e-5
+
+
+SEAM_EPS = 1e-7
+SECTION_RULE_TS = (
+    [1.0, -1.0, 0.5, -0.5, 0.0, -0.0, np.nan]
+    + [seam + sign * SEAM_EPS for seam in (-0.5, 0.0, 0.5) for sign in (-1.0, 1.0)]
+    # (T, 1) grids inside one piece each
+    + [np.linspace(lo, hi, 9)[:, None]
+       for lo, hi in ((0.5, 1.0), (-1.0, -0.5), (0.0, 0.49), (-0.49, -SEAM_EPS))]
+    # grids straddling each seam, the whole probe grid, and NaN among crossings
+    + [np.linspace(seam - 0.1, seam + 0.1, 9)[:, None] for seam in (-0.5, 0.0, 0.5)]
+    + [np.linspace(-1.0, 1.0, 513)[:, None], np.array([[np.nan], [0.25], [-0.25]])]
+)
+
+
+@pytest.mark.parametrize("n", (1, 3, 7, 63))
+def test_section_rule_matches_the_full_grid_formula_bit_for_bit(n):
+    rule = build_sphere_planner(n).rules[1]
+    us, vs = random_units(20, n + 1), random_units(20, n + 1)
+    vs[:5] = -us[:5]
+    for t in SECTION_RULE_TS:
+        assert np.array_equal(rule.path(t, us, vs), section_crossing_path(t, us, vs),
+                              equal_nan=True)
+        assert np.array_equal(rule.path(t, us[7], vs[7]), section_crossing_path(t, us[7], vs[7]),
+                              equal_nan=True)
 
 
 def test_kernels_broadcast_and_reject_a_batch_with_one_degenerate_row():
