@@ -18,7 +18,6 @@ from .bundles import (
     BundleError,
     BundleSpec,
     KField,
-    PPolyTable,
     feder_ring,
     gaussian_binomial_two,
     grassmann_ring,
@@ -36,10 +35,10 @@ from .obstruct import (
     closed_form_check,
     default_k_max,
     euler_power_x_coordinates,
+    first_vanishing,
     gysin_equivalence_check,
-    min_k_vanishing,
     point_sphere_table,
-    proj_pair_test,
+    powers,
     sphere_divisibility_test,
     sphere_quotient_ring,
     symm_proj_test,

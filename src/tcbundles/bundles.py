@@ -317,36 +317,12 @@ def q_tilde_ring(
     return pres, e_alpha_tilde
 
 
-class PPolyTable:
-    """Memoized table of the recurrence p_0 = 1, p_1 = Y,
-    p_(i+1) = Y*p_i + Z*p_(i-1), and its class-twisted companion
-    p_i^xi = sum_j p_(i-j) * w_(j*d)."""
-
-    def __init__(self, ring: PolyRing, y: Polynomial, z: Polynomial,
-                 classes: Sequence[Polynomial]):
-        self.ring = ring
-        self.y = y
-        self.z = z
-        self.classes = list(classes)  # classes[j] is w_(j*d), classes[0] = 1
-        self._p: list[Polynomial] = [ring.one(), y]
-        self._p_xi: dict[int, Polynomial] = {}
-
-    def p(self, i: int) -> Polynomial:
-        if i < 0:
-            return self.ring.zero()
-        while len(self._p) <= i:
-            k = len(self._p)
-            self._p.append(self.y * self._p[k - 1] + self.z * self._p[k - 2])
-        return self._p[i]
-
-    def p_xi(self, i: int) -> Polynomial:
-        if i not in self._p_xi:
-            acc = self.ring.zero()
-            for j in range(i + 1):
-                w_j = self.classes[j] if j < len(self.classes) else self.ring.zero()
-                acc = acc + self.p(i - j) * w_j
-            self._p_xi[i] = acc
-        return self._p_xi[i]
+def _p_polynomials(y: Polynomial, z: Polynomial, n: int) -> list[Polynomial]:
+    """p_0, ..., p_n of the recurrence p_0 = 1, p_1 = y, p_(i+1) = y*p_i + z*p_(i-1)."""
+    p = [y.ring.one(), y]
+    while len(p) <= n:
+        p.append(y * p[-1] + z * p[-2])
+    return p[:n + 1]
 
 
 def _grassmann_setup(b: BundleSpec, extra_gens: Sequence[tuple[str, int]]):
@@ -362,9 +338,14 @@ def _grassmann_setup(b: BundleSpec, extra_gens: Sequence[tuple[str, int]]):
             raise BundleError("base has unbounded degrees; give it a truncation")
         truncation = top + budget
     classes = [b.w(j).poly.lift(ring) for j in range(0, n + 2)]
-    table = PPolyTable(ring, ring.gen("Y"), ring.gen("Z"), classes)
-    rels.append(table.p_xi(n))
-    rels.append(ring.gen("Z") * table.p_xi(n - 1) + classes[n + 1])
+    p = _p_polynomials(ring.gen("Y"), ring.gen("Z"), n)
+
+    def p_xi(i: int) -> Polynomial:
+        """The twisted p_i^xi = sum_j p_(i-j) w_j."""
+        return sum((p[i - j] * classes[j] for j in range(i + 1)), ring.zero())
+
+    rels.append(p_xi(n))
+    rels.append(ring.gen("Z") * p_xi(n - 1) + classes[n + 1])
     return b, ring, rels, truncation
 
 

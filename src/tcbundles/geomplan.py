@@ -222,12 +222,11 @@ def sigma_sphere(w, t: float, u) -> SpherePoint:
 # -- the ball-bundle chart around antipodal pairs -----------------------------------
 
 
-def _pi_raw(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pi_raw(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The chart's first output x at (u, w); its second output is x at (-u, w),
+    since (1 - s2)(-u) and (s2 - 1) u round to the same float."""
     s2 = _dot(w, w)[..., None]
-    denom = 1.0 + s2
-    x = ((1.0 - s2) * u + 2.0 * w) / denom
-    y = ((s2 - 1.0) * u + 2.0 * w) / denom
-    return x, y
+    return ((1.0 - s2) * u + 2.0 * w) / (1.0 + s2)
 
 
 def pi_map(u, v, w: np.ndarray) -> tuple[SpherePoint, SpherePoint]:
@@ -241,7 +240,7 @@ def pi_map(u, v, w: np.ndarray) -> tuple[SpherePoint, SpherePoint]:
         raise GeometryError("chart vector must be orthogonal to u")
     if np.dot(wc, wc) > 1.0 + SCALAR_TOL:
         raise GeometryError("chart vector must lie in the closed unit ball")
-    x, y = _pi_raw(uc, wc)
+    x, y = _pi_raw(uc, wc), _pi_raw(-uc, wc)
     return SpherePoint(x / np.linalg.norm(x)), SpherePoint(y / np.linalg.norm(y))
 
 
@@ -433,9 +432,9 @@ def build_sphere_planner(n: int) -> Planner:
         u0, w = _pi_inverse_raw(x, y)
         t = np.asarray(t, dtype=float)
 
-        def chart(side: int) -> np.ndarray:
+        def chart(centre: np.ndarray) -> np.ndarray:
             # the chart segments out of u0 and into -u0 scale w by |2t| - 1
-            return _pi_raw(u0, (np.abs(2.0 * t[..., None]) - 1.0) * w)[side]
+            return _pi_raw(centre, (np.abs(2.0 * t[..., None]) - 1.0) * w)
 
         def crossing(target: np.ndarray) -> np.ndarray:
             # the section crossing, with its arc worked out once per pair
@@ -447,7 +446,7 @@ def build_sphere_planner(n: int) -> Planner:
         out_of_u0, into_minus_u0 = t >= 0.5, t <= -0.5
         towards_u0 = (t >= 0.0) & ~out_of_u0
         towards_minus_u0 = ~(out_of_u0 | into_minus_u0 | towards_u0)
-        pieces = ((out_of_u0, lambda: chart(0)), (into_minus_u0, lambda: chart(1)),
+        pieces = ((out_of_u0, lambda: chart(u0)), (into_minus_u0, lambda: chart(-u0)),
                   (towards_u0, lambda: crossing(u0)), (towards_minus_u0, lambda: crossing(-u0)))
         path = None
         for selects, piece in pieces:
@@ -652,14 +651,15 @@ def sphere_roundtrip_error(n: int, samples: int, seed: int) -> float:
     u = _unit_rows(first[:, 0])
     raw = first[:, 1]
     w = scale[:, None] * _unit_rows(raw - _dot(raw, u)[:, None] * u)
-    x, y = (_unit_rows(p) for p in _pi_raw(u, w))
+    x, y = (_unit_rows(_pi_raw(centre, w)) for centre in (u, -u))
     u2, w2 = _pi_inverse_raw(x, y)
     worst = max(_max_distance(u2, u), _max_distance(w2, w))
 
     x3, y3 = _unit_rows(second[:, 0]), _unit_rows(second[:, 1])
     keep = np.linalg.norm(x3 - y3, axis=-1) > 1e-6
     x3, y3 = x3[keep], y3[keep]
-    x4, y4 = _pi_raw(*_pi_inverse_raw(x3, y3))
+    u4, w4 = _pi_inverse_raw(x3, y3)
+    x4, y4 = _pi_raw(u4, w4), _pi_raw(-u4, w4)
     return max(worst, _max_distance(_unit_rows(x4), x3), _max_distance(_unit_rows(y4), y3))
 
 

@@ -9,7 +9,10 @@ the same verdict (degreewise linear algebra, long division in t, a
 module-basis reduction), that route advances in lockstep and the first
 mismatch raises :class:`InternalDisagreementError` rather than returning.
 :func:`first_vanishing` reads the least vanishing power and its witness off
-a sequence; the per-k tests read a single term.
+a sequence.  Four per-k tests answer for one k:
+:func:`sphere_divisibility_test` runs the divisibility route alone, and
+:func:`gysin_equivalence_check`, :func:`symm_sphere_test` and
+:func:`symm_proj_test` read the k-th term of a checked sequence.
 """
 
 from __future__ import annotations
@@ -104,11 +107,6 @@ def first_vanishing(
         if k == k_max:
             return NotFoundUpTo(k_max), power
         witness = power
-
-
-def min_k_vanishing(e: Element, k_max: int) -> int | NotFoundUpTo:
-    """Smallest k <= k_max with e^k = 0, or NotFoundUpTo(k_max)."""
-    return first_vanishing(powers(e), k_max)[0]
 
 
 _T = TypeVar("_T")
@@ -364,15 +362,6 @@ def closed_form_check(n: int) -> bool:
 
 
 # -- projective criteria -----------------------------------------------------------
-
-
-def proj_pair_test(b: BundleSpec, k: int, coeffs: Coeffs | None = None) -> bool:
-    """Does e(alpha~)^k vanish in the ordered-pairs ring over the chosen
-    coefficients?"""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    _, e = q_tilde_of(b, coeffs)
-    return (e ** k).is_zero()
 
 
 def symm_proj_powers(b: BundleSpec) -> Iterator[Element]:

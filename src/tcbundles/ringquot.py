@@ -257,12 +257,6 @@ class Presentation:
 
     # -- degreewise structure ----------------------------------------------------
 
-    def leading_exponent_set(self) -> list[ExpVec]:
-        """Exponent vectors whose multiples are killed by reduction."""
-        if not self.completed:
-            raise PresentationError("presentation must be completed first")
-        return [r.leading_exponents() for r in self.relations]
-
     def dimensions(self, top: int) -> list[int]:
         """Dimensions of the graded pieces in degrees 0..top.
 
@@ -335,14 +329,15 @@ class Presentation:
         return self.dimensions(degree)[degree] if degree >= 0 else 0
 
     def top_degree(self) -> int | None:
-        """Largest degree with a nonzero graded piece, or None if unbounded."""
+        """Largest degree with a nonzero graded piece, -1 for the zero ring
+        (where even degree 0 vanishes), or None if unbounded."""
         if self.truncation is not None:
             bound = self.truncation
         else:
             # Finite only when every generator has a pure power among the
             # leading exponents; the box of standard monomials is then bounded.
             bound = 0
-            leads = self.leading_exponent_set()
+            leads = [r.leading_exponents() for r in self.relations]
             for i, d in enumerate(self.ring.degrees):
                 pure = [l[i] for l in leads if all(e == 0 for j, e in enumerate(l) if j != i) and l[i] > 0]
                 if not pure:

@@ -6,8 +6,9 @@ the Gaussian binomial.  None of it shares code with the package internals,
 except two planner replays that run the package's kernels the plain way:
 the equivariance replay runs the geodesic kernel one trial at a time, so
 that it checks the batched trials of ``verify_planner`` bit for bit, and the
-section-crossing replay evaluates every piece of the rule at every t, so that
-it checks the rule's piecewise evaluation bit for bit.
+section-crossing replay evaluates every piece of the rule at every t, with
+its own two-output chart formula, so that it checks the rule's piecewise
+evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def standard_monomials(pres, degree: int) -> list[tuple]:
     in graded-lex order, found by testing every monomial against every lead."""
     if degree < 0 or (pres.truncation is not None and degree > pres.truncation):
         return []
-    leads = pres.leading_exponent_set()
+    leads = [r.leading_exponents() for r in pres.relations]
     out = [m for m in monomials_of_degree(pres.ring, degree)
            if not any(all(x <= y for x, y in zip(lead, m)) for lead in leads)]
     out.sort(key=pres.ring.order_key)
@@ -257,10 +258,14 @@ def section_crossing_path(t, x, y):
     every t, then one is kept by a chain of ``np.where``."""
     import numpy as np
 
-    from tcbundles.geomplan import _pi_inverse_raw, _pi_raw, _sigma_raw, complex_structure
+    from tcbundles.geomplan import _pi_inverse_raw, _sigma_raw, complex_structure
 
     u0, w = _pi_inverse_raw(x, y)
     t = np.asarray(t, dtype=float)[..., None]
-    near_u0, near_minus_u0 = _pi_raw(u0, (np.abs(2.0 * t) - 1.0) * w)
+    # both outputs of the ball-bundle chart at (u0, (|2t| - 1) w), written out
+    scaled = (np.abs(2.0 * t) - 1.0) * w
+    s2 = np.einsum("...i,...i->...", scaled, scaled)[..., None]
+    near_u0 = ((1.0 - s2) * u0 + 2.0 * scaled) / (1.0 + s2)
+    near_minus_u0 = ((s2 - 1.0) * u0 + 2.0 * scaled) / (1.0 + s2)
     crossing = _sigma_raw(complex_structure(u0), 2.0 * t[..., 0], u0)
     return np.where(t >= 0.5, near_u0, np.where(t <= -0.5, near_minus_u0, crossing))

@@ -13,7 +13,6 @@ from tcbundles import (
     KField,
     PolyRing,
     Polynomial,
-    PPolyTable,
     Presentation,
     Strategy,
     feder_ring,
@@ -28,6 +27,7 @@ from tcbundles import (
     reduce_mod2,
     trivial_bundle,
 )
+from tcbundles.bundles import _grassmann_setup, _p_polynomials
 
 from oracles import gaussian_binomial_series
 from oracles import monomials_of_degree as _monomials_of_degree
@@ -239,73 +239,68 @@ def test_q_tilde_requires_even_classes_over_z():
         q_tilde_ring(b, Coeffs.INT)
 
 
-# -- the p-polynomial table ----------------------------------------------------
+# -- the p-polynomials of the plane relations -------------------------------------
 
 
-def p_table(coeffs: Coeffs) -> PPolyTable:
+def p_polynomials(coeffs: Coeffs) -> tuple[PolyRing, list[Polynomial]]:
     scale = 2 if coeffs is Coeffs.INT else 1
     ring = PolyRing(coeffs, [("Y", scale), ("Z", 2 * scale)])
-    return PPolyTable(ring, ring.gen("Y"), ring.gen("Z"), [ring.one()])
+    return ring, _p_polynomials(ring.gen("Y"), ring.gen("Z"), 8)
 
 
 def test_p_polynomials_small_f2():
-    table = p_table(Coeffs.F2)
-    ring = table.ring
-    assert table.p(0) == ring.one()
-    assert table.p(1) == ring.parse("Y")
-    assert table.p(2) == ring.parse("Y^2 + Z")
-    assert table.p(3) == ring.parse("Y^3")
-    assert table.p(4) == ring.parse("Y^4 + Y^2*Z + Z^2")
+    ring, p = p_polynomials(Coeffs.F2)
+    assert p[0] == ring.one()
+    assert p[1] == ring.parse("Y")
+    assert p[2] == ring.parse("Y^2 + Z")
+    assert p[3] == ring.parse("Y^3")
+    assert p[4] == ring.parse("Y^4 + Y^2*Z + Z^2")
 
 
 def test_p_polynomials_small_integral():
-    table = p_table(Coeffs.INT)
-    ring = table.ring
-    assert table.p(3) == ring.parse("Y^3 + 2*Y*Z")
-    assert table.p(4) == ring.parse("Y^4 + 3*Y^2*Z + Z^2")
+    ring, p = p_polynomials(Coeffs.INT)
+    assert p[3] == ring.parse("Y^3 + 2*Y*Z")
+    assert p[4] == ring.parse("Y^4 + 3*Y^2*Z + Z^2")
 
 
 def test_p_polynomial_closed_form():
     # p_i = sum_j binom(i-j, j) Y^(i-2j) Z^j, an independent derivation
     for coeffs in (Coeffs.F2, Coeffs.INT):
-        table = p_table(coeffs)
-        ring = table.ring
+        ring, p = p_polynomials(coeffs)
         for i in range(0, 9):
             want = ring.zero()
             for j in range(i // 2 + 1):
                 c = math.comb(i - j, j)
                 want = want + ring.monomial((i - 2 * j, j), c)
-            assert table.p(i) == want
+            assert p[i] == want
 
 
 def test_p_xi_reduces_to_p_for_zero_classes():
-    b = trivial_bundle(KField.R, 4)
-    _, y, z = grassmann_ring(b)
-    pres = y.pres
-    table = PPolyTable(
-        pres.ring, pres.ring.gen("Y"), pres.ring.gen("Z"),
-        [b.w(i).poly.lift(pres.ring) for i in range(0, 5)],
-    )
-    for i in range(0, 4):
-        assert table.p_xi(i) == table.p(i)
+    # with every class zero the plane relations are p_n and Z*p_(n-1)
+    for rank in (2, 3, 4, 5):
+        _, ring, rels, _ = _grassmann_setup(trivial_bundle(KField.R, rank), [])
+        p = _p_polynomials(ring.gen("Y"), ring.gen("Z"), rank - 1)
+        assert rels[-2:] == [p[rank - 1], ring.gen("Z") * p[rank - 2]]
 
 
 def test_p_xi_recursion_identity():
-    # p_(n+1)^xi = Y p_n^xi + Z p_(n-1)^xi + w_((n+1)d) as plain polynomials
+    # the plane relations are p_n^xi and Z*p_(n-1)^xi + w_((n+1)d), with
+    # p_i^xi = sum_j p_(i-j) w_(jd); as plain polynomials,
+    # p_(n+1)^xi = Y*p_n^xi + Z*p_(n-1)^xi + w_((n+1)d)
     for n in (2, 3, 4):
-        gens = [(f"w{i}", i) for i in range(1, n + 2)] + [("Y", 1), ("Z", 2)]
-        ring = PolyRing(Coeffs.F2, gens)
+        gens = [(f"w{i}", i) for i in range(1, n + 2)]
+        base = Presentation(PolyRing(Coeffs.F2, gens), [], Strategy.GROEBNER_F2,
+                            n + 1).complete()
+        b = make_bundle(KField.R, n + 1, base, {i: f"w{i}" for i in range(1, n + 2)})
+        _, ring, rels, _ = _grassmann_setup(b, [])
+        p = _p_polynomials(ring.gen("Y"), ring.gen("Z"), n + 1)
         lifted = [ring.one()] + [ring.gen(f"w{i}") for i in range(1, n + 2)]
-        table = PPolyTable(ring, ring.gen("Y"), ring.gen("Z"), lifted)
-        want = (
-            ring.gen("Y") * table.p_xi(n)
-            + ring.gen("Z") * table.p_xi(n - 1)
-            + lifted[n + 1]
-        )
-        got = sum(
-            (table.p(n + 1 - j) * lifted[j] for j in range(n + 2)), ring.zero()
-        )
-        assert got == want
+
+        def p_xi(i):
+            return sum((p[i - j] * lifted[j] for j in range(i + 1)), ring.zero())
+
+        assert rels[-2] == p_xi(n)
+        assert ring.gen("Y") * rels[-2] + rels[-1] == p_xi(n + 1)
 
 
 # -- planes rings ------------------------------------------------------------------

@@ -614,10 +614,10 @@ def test_section_rule_matches_the_full_grid_formula_bit_for_bit(n):
     us, vs = random_units(20, n + 1), random_units(20, n + 1)
     vs[:5] = -us[:5]
     for t in SECTION_RULE_TS:
-        assert np.array_equal(rule.path(t, us, vs), section_crossing_path(t, us, vs),
-                              equal_nan=True)
-        assert np.array_equal(rule.path(t, us[7], vs[7]), section_crossing_path(t, us[7], vs[7]),
-                              equal_nan=True)
+        for u, v in ((us, vs), (us[7], vs[7])):
+            got, want = rule.path(t, u, v), section_crossing_path(t, u, v)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_kernels_broadcast_and_reject_a_batch_with_one_degenerate_row():
