@@ -17,8 +17,11 @@ From such a spec the constructors build:
 * ``feder_ring``        -- unordered pairs of orthogonal lines, generators
   ``Y, Z, X`` (F2), free over the plane ring with basis ``1, X, ..., X^d``.
 
-Named Euler classes come back together with each presentation.  Module bases
-claimed by the constructions are verified degreewise by dimension counts.
+The fibre relations are top terms of one twisted recurrence ``c_0 = 1``,
+``c_i = w_i + y*c_(i-1) + z*c_(i-2)``: (y, z) is (-t, 0) for ``t``, (-S, 0) for
+the first relation in ``S, T`` and (Y, Z) for the planes.  Named Euler classes
+come back together with each presentation.  Module bases claimed by the
+constructions are verified degreewise by dimension counts.
 """
 
 from __future__ import annotations
@@ -236,23 +239,17 @@ def _extend_presentation(
     return ring, rels, base.strategy, None
 
 
-def _with_coeffs(b: BundleSpec, coeffs: Coeffs | None) -> BundleSpec:
-    have = b.base.ring.coeffs
-    if coeffs is None or coeffs is have:
-        return b
-    if coeffs is Coeffs.F2 and have is Coeffs.INT:
-        return reduce_mod2(b)
-    raise BundleError("cannot lift an F2 bundle description to Z")
-
-
-def _x_polynomials(b: BundleSpec, ring: PolyRing, t_name: str, up_to: int) -> list[Polynomial]:
-    """The classes x_0, ..., x_up_to with x_i = w_i - t * x_(i-1), x_0 = 1."""
-    t = ring.gen(t_name)
-    xs = [ring.one()]
-    for i in range(1, up_to + 1):
-        w_i = b.w(i).poly.lift(ring)
-        xs.append(w_i - t * xs[-1])
-    return xs
+def _twisted(b: BundleSpec, ring: PolyRing, y: Polynomial, z: Polynomial | None,
+             top: int) -> list[Polynomial]:
+    """c_0..c_top with c_0 = 1 and c_i = w_i + y*c_(i-1) + z*c_(i-2) (z None: no
+    z term), the twisted sums sum_j p_(i-j) w_j of p_(k+1) = y*p_k + z*p_(k-1)."""
+    c = [ring.one()]
+    for i in range(1, top + 1):
+        c_i = b.w(i).poly.lift(ring) + y * c[-1]
+        if z is not None and i >= 2:
+            c_i = c_i + z * c[-2]
+        c.append(c_i)
+    return c
 
 
 def projective_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
@@ -265,7 +262,7 @@ def projective_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
     """
     n, d = b.n, b.d
     ring, rels, strategy, trunc = _extend_presentation(b.base, [("t", d)], n * d)
-    xs = _x_polynomials(b, ring, "t", n + 1)
+    xs = _twisted(b, ring, -ring.gen("t"), None, n + 1)
     rels.append(xs[n + 1])
     pres = Presentation(ring, rels, strategy, trunc).complete()
     e_zeta = pres.element(xs[n])
@@ -275,7 +272,7 @@ def projective_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
 
 def projective_x_classes(b: BundleSpec, pres: Presentation) -> list[Element]:
     """The module basis x_0, ..., x_n of the projectivization over the base."""
-    xs = _x_polynomials(b, pres.ring, "t", b.n)
+    xs = _twisted(b, pres.ring, -pres.ring.gen("t"), None, b.n)
     return [pres.element(x) for x in xs]
 
 
@@ -289,24 +286,21 @@ def _h_complete(ring: PolyRing, s_name: str, t_name: str, i: int) -> Polynomial:
     return acc
 
 
-def q_tilde_ring(
-    b: BundleSpec, coeffs: Coeffs | None = None
-) -> tuple[Presentation, Element]:
+def q_tilde_ring(b: BundleSpec) -> tuple[Presentation, Element]:
     """Cohomology of the space of ordered pairs of orthogonal lines in the bundle.
 
     Two generators ``S, T`` of degree d (Euler classes of the two Hopf line
     bundles).  The first relation is the projectivization relation in ``S``;
     the second is ``w_n + sum_i (-1)^i (T^i + S T^(i-1) + ... + S^i) w_(n-i)``.
-    Returns the presentation and the Euler class ``e_alpha_tilde = T - S`` of
-    the line-to-line homomorphism bundle.
+    Over the bundle's coefficients (:func:`reduce_mod2` gives F2).  Returns the
+    presentation and the Euler class ``e_alpha_tilde = T - S`` of the
+    line-to-line homomorphism bundle.
     """
-    b = _with_coeffs(b, coeffs)
     n, d = b.n, b.d
     ring, rels, strategy, trunc = _extend_presentation(
         b.base, [("S", d), ("T", d)], (2 * n - 1) * d
     )
-    xs = _x_polynomials(b, ring, "S", n + 1)
-    rels.append(xs[n + 1])
+    rels.append(_twisted(b, ring, -ring.gen("S"), None, n + 1)[n + 1])
     r2 = ring.zero()
     for i in range(n + 1):
         sign = -1 if i % 2 else 1
@@ -317,16 +311,8 @@ def q_tilde_ring(
     return pres, e_alpha_tilde
 
 
-def _p_polynomials(y: Polynomial, z: Polynomial, n: int) -> list[Polynomial]:
-    """p_0, ..., p_n of the recurrence p_0 = 1, p_1 = y, p_(i+1) = y*p_i + z*p_(i-1)."""
-    p = [y.ring.one(), y]
-    while len(p) <= n:
-        p.append(y * p[-1] + z * p[-2])
-    return p[:n + 1]
-
-
 def _grassmann_setup(b: BundleSpec, extra_gens: Sequence[tuple[str, int]]):
-    b = _with_coeffs(b, Coeffs.F2)
+    b = reduce_mod2(b)
     n, d = b.n, b.d
     budget = 2 * n * d + d + 1
     ring, rels, _, truncation = _extend_presentation(
@@ -337,15 +323,9 @@ def _grassmann_setup(b: BundleSpec, extra_gens: Sequence[tuple[str, int]]):
         if top is None:
             raise BundleError("base has unbounded degrees; give it a truncation")
         truncation = top + budget
-    classes = [b.w(j).poly.lift(ring) for j in range(0, n + 2)]
-    p = _p_polynomials(ring.gen("Y"), ring.gen("Z"), n)
-
-    def p_xi(i: int) -> Polynomial:
-        """The twisted p_i^xi = sum_j p_(i-j) w_j."""
-        return sum((p[i - j] * classes[j] for j in range(i + 1)), ring.zero())
-
-    rels.append(p_xi(n))
-    rels.append(ring.gen("Z") * p_xi(n - 1) + classes[n + 1])
+    p_xi = _twisted(b, ring, ring.gen("Y"), ring.gen("Z"), n)
+    rels.append(p_xi[n])
+    rels.append(ring.gen("Z") * p_xi[n - 1] + b.w(n + 1).poly.lift(ring))
     return b, ring, rels, truncation
 
 

@@ -43,7 +43,7 @@ from .polyalg import (
     PolyRing,
     render_polynomial,
 )
-from .ringquot import Element, Presentation, PresentationError, Strategy
+from .ringquot import Element, ModuleBasisError, Presentation, PresentationError, Strategy
 
 STABLE_RANGE_CAVEAT = (
     "cohomology shadow only: passing a criterion does not certify the stable "
@@ -161,6 +161,9 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
             raw_lines = fh.readlines()
     except OSError as exc:
         raise SpecFileError(str(exc), path) from exc
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise SpecFileError(f"not UTF-8 text: byte 0x{bad:02x} ({exc.reason})", path) from exc
 
     values: dict[str, object] = {}  # field, rank, coeffs, truncation, kmax and each w<i>
     lines: dict[str, int] = {}  # the line of each key in values
@@ -426,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecFileError, BundleError, PresentationError, GradingError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalDisagreementError as exc:
+    except (InternalDisagreementError, ModuleBasisError) as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
     for line in lines:

@@ -536,6 +536,8 @@ def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:
     """
     if samples < 1:
         raise GeometryError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise GeometryError(f"seed must be >= 0, got {seed}")
     dim = planner.n + 1
     if max(samples, dim) * dim > MAX_SAMPLE_COORDINATES:
         raise GeometryError(

@@ -31,6 +31,7 @@ from .bundles import (
     make_bundle,
     projective_ring,
     q_tilde_ring,
+    reduce_mod2,
 )
 from .polyalg import Coeffs, Polynomial
 from .ringquot import (
@@ -132,7 +133,9 @@ def projective_of(b: BundleSpec) -> tuple[Presentation, Element, Element]:
 
 @lru_cache(maxsize=None)
 def q_tilde_of(b: BundleSpec, coeffs: Coeffs | None = None) -> tuple[Presentation, Element]:
-    return q_tilde_ring(b, coeffs)
+    if coeffs is Coeffs.INT and b.base.ring.coeffs is Coeffs.F2:
+        raise BundleError("cannot lift an F2 bundle description to Z")
+    return q_tilde_ring(reduce_mod2(b) if coeffs is Coeffs.F2 else b)
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,8 @@ from tcbundles import (
     reduce_mod2,
     trivial_bundle,
 )
-from tcbundles.bundles import _grassmann_setup, _p_polynomials
+from tcbundles.bundles import _grassmann_setup, _twisted
+from tcbundles.obstruct import q_tilde_of
 
 from oracles import gaussian_binomial_series
 from oracles import monomials_of_degree as _monomials_of_degree
@@ -233,19 +234,62 @@ def test_q_tilde_telescoping_identity():
 
 def test_q_tilde_requires_even_classes_over_z():
     b = generic_bundle(KField.R, 2)
-    pres, e = q_tilde_ring(b)  # F2 default for real bundles
+    pres, e = q_tilde_ring(b)  # a real bundle's ring is over F2
     assert pres.ring.coeffs is Coeffs.F2
     with pytest.raises((BundleError, GradingError)):
-        q_tilde_ring(b, Coeffs.INT)
+        q_tilde_of(b, Coeffs.INT)
+
+
+# -- the fibre relations against their explicit sums --------------------------------
+
+
+def test_fibre_relations_match_their_explicit_sums():
+    # x_i = sum_j (-t)^(i-j) w_j, and the second ordered-pair relation r2 through
+    # (T - S)*h_i = T^(i+1) - S^(i+1): (T - S)*r2 = sum_i (-1)^i (T^(i+1) - S^(i+1)) w_(n-i).
+    # Completion may flip a relation's sign over Z.
+    bundles = [trivial_bundle(field, rank) for field in KField for rank in (2, 3, 5)]
+    bundles += [generic_bundle(KField.R, n) for n in (1, 2, 3)]
+    bundles += [generic_bundle(KField.C, n, Coeffs.INT) for n in (1, 2)]
+    for b in bundles:
+        n = b.n
+        pres, e_zeta, _ = projective_ring(b)
+        w = [b.w(j).poly.lift(pres.ring) for j in range(n + 2)]
+        t = pres.ring.gen("t")
+        x = [sum(((-t) ** (i - j) * w[j] for j in range(i + 1)), pres.ring.zero())
+             for i in range(n + 2)]
+        assert pres.relations[-1] in (x[n + 1], -x[n + 1])
+        assert projective_x_classes(b, pres) == [pres.element(x_i) for x_i in x[:n + 1]]
+        assert e_zeta == pres.element(x[n])
+
+        pres, _ = q_tilde_ring(b)
+        ring = pres.ring
+        w = [b.w(j).poly.lift(ring) for j in range(n + 2)]
+        S, T = ring.gen("S"), ring.gen("T")
+        r1 = sum(((-S) ** (n + 1 - j) * w[j] for j in range(n + 2)), ring.zero())
+        telescoped = sum(((-1) ** i * (T ** (i + 1) - S ** (i + 1)) * w[n - i]
+                          for i in range(n + 1)), ring.zero())
+        rel1, rel2 = pres.relations[-2:]
+        assert rel1 in (r1, -r1)
+        assert (T - S) * rel2 in (telescoped, -telescoped)
 
 
 # -- the p-polynomials of the plane relations -------------------------------------
 
 
 def p_polynomials(coeffs: Coeffs) -> tuple[PolyRing, list[Polynomial]]:
+    """p_0, ..., p_8 of p_(i+1) = Y*p_i + Z*p_(i-1): the twisted sums of a
+    bundle whose classes are all zero."""
     scale = 2 if coeffs is Coeffs.INT else 1
     ring = PolyRing(coeffs, [("Y", scale), ("Z", 2 * scale)])
-    return ring, _p_polynomials(ring.gen("Y"), ring.gen("Z"), 8)
+    zero_classes = trivial_bundle(KField.R if coeffs is Coeffs.F2 else KField.C, 2)
+    return ring, _twisted(zero_classes, ring, ring.gen("Y"), ring.gen("Z"), 8)
+
+
+def p_closed_form(ring: PolyRing, i: int) -> Polynomial:
+    """p_i = sum_j binom(i-j, j) Y^(i-2j) Z^j, an independent derivation."""
+    y, z = ring.gen("Y"), ring.gen("Z")
+    terms = (math.comb(i - j, j) * y ** (i - 2 * j) * z ** j for j in range(i // 2 + 1))
+    return sum(terms, ring.zero())
 
 
 def test_p_polynomials_small_f2():
@@ -264,22 +308,17 @@ def test_p_polynomials_small_integral():
 
 
 def test_p_polynomial_closed_form():
-    # p_i = sum_j binom(i-j, j) Y^(i-2j) Z^j, an independent derivation
     for coeffs in (Coeffs.F2, Coeffs.INT):
         ring, p = p_polynomials(coeffs)
         for i in range(0, 9):
-            want = ring.zero()
-            for j in range(i // 2 + 1):
-                c = math.comb(i - j, j)
-                want = want + ring.monomial((i - 2 * j, j), c)
-            assert p[i] == want
+            assert p[i] == p_closed_form(ring, i)
 
 
 def test_p_xi_reduces_to_p_for_zero_classes():
     # with every class zero the plane relations are p_n and Z*p_(n-1)
     for rank in (2, 3, 4, 5):
         _, ring, rels, _ = _grassmann_setup(trivial_bundle(KField.R, rank), [])
-        p = _p_polynomials(ring.gen("Y"), ring.gen("Z"), rank - 1)
+        p = [p_closed_form(ring, i) for i in range(rank)]
         assert rels[-2:] == [p[rank - 1], ring.gen("Z") * p[rank - 2]]
 
 
@@ -293,7 +332,7 @@ def test_p_xi_recursion_identity():
                             n + 1).complete()
         b = make_bundle(KField.R, n + 1, base, {i: f"w{i}" for i in range(1, n + 2)})
         _, ring, rels, _ = _grassmann_setup(b, [])
-        p = _p_polynomials(ring.gen("Y"), ring.gen("Z"), n + 1)
+        p = [p_closed_form(ring, i) for i in range(n + 2)]
         lifted = [ring.one()] + [ring.gen(f"w{i}") for i in range(1, n + 2)]
 
         def p_xi(i):

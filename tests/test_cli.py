@@ -12,7 +12,10 @@ import tcbundles
 from tcbundles import Coeffs, KField, PolyRing, render_polynomial
 from tcbundles.cli import main, parse_spec_file, run_criteria
 from tcbundles.geomplan import MAX_SAMPLE_COORDINATES
-from tcbundles.obstruct import feder_of, projective_of, q_tilde_of, sphere_quotient_ring
+from tcbundles import bundles
+from tcbundles.obstruct import (feder_of, grassmann_of, projective_of, q_tilde_of,
+                                sphere_quotient_ring)
+from tcbundles.ringquot import ModuleBasisError
 
 MILNOR = "specs/milnor_r2.spec"
 COMPLEX = "specs/complex_n2.spec"
@@ -417,6 +420,23 @@ def test_ring_dump_human_mentions_strategy(capsys):
     assert "e_alpha = " in out
 
 
+@pytest.mark.parametrize("argv", [("ring", PETERSON, "--which", "grassmann"),
+                                  ("ring", PETERSON, "--which", "feder"),
+                                  ("criteria", PETERSON)],
+                         ids=["grassmann", "feder", "criteria"])
+def test_failed_freeness_check_is_a_check_failure(monkeypatch, capsys, argv):
+    def fail(pres, base, cells, truncation, what):
+        raise ModuleBasisError(f"{what} fails freeness at degree 0: 0 != 1")
+
+    # a cached ring would skip the check
+    for cached in (projective_of, q_tilde_of, grassmann_of, feder_of, sphere_quotient_ring):
+        cached.cache_clear()
+    monkeypatch.setattr(bundles, "verify_cell_dimensions", fail)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("check failure: ") and "fails freeness at degree 0" in err
+
+
 # -- planner subcommand ----------------------------------------------------------------
 
 
@@ -448,6 +468,13 @@ def test_planner_needs_a_positive_sample_count(capsys):
                                  "--machine")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "samples" in err
+
+
+def test_planner_needs_a_seed_of_at_least_zero(capsys):
+    code, out, err = run_cli(capsys, "planner", "--n", "3", "--samples", "10", "--seed", "-1",
+                             "--machine")
+    assert code == 2 and out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_planner_needs_a_positive_sphere_dimension(capsys):

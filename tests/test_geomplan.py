@@ -732,6 +732,16 @@ def test_verify_reports_cover_failures_for_arc_only_planner():
     assert not report.passed
 
 
+def test_verify_refuses_a_negative_seed_before_drawing(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew samples")
+
+    planner = build_sphere_planner(3)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(GeometryError, match="seed must be >= 0, got -1"):
+        verify_planner(planner, samples=10, seed=-1)
+
+
 def test_verify_report_is_deterministic():
     planner = build_sphere_planner(3)
     first = verify_planner(planner, samples=150, seed=2)

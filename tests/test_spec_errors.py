@@ -24,9 +24,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "spec_errors.json"
 HEAD = "field = R\nrank = 2\n"
 BASE = HEAD + "[base]\ngenerator x 1\nrelation x^3\n"
 
-# (case id, spec text or None for a missing file, subcommand and flags)
+# (case id, spec text, bytes or None for a missing file, subcommand and flags)
 FAULTS = [
     ("missing_file", None, "criteria"),
+    ("not_utf8", HEAD.encode() + b"# \xff\xfe\n", "criteria"),
     # header
     ("header_without_equals", "field = R\nrank 2\n", "criteria"),
     ("header_unknown_key", "field = R\ncolour = red\nrank = 2\n", "criteria"),
@@ -139,7 +140,9 @@ def run_fault(directory, text, command):
     The spec's path is written as ``<spec>`` in both streams.
     """
     path = Path(directory) / "case.spec"
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text, encoding="utf-8")
     subcommand, *flags = command.split()
     out, err = io.StringIO(), io.StringIO()
