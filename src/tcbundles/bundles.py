@@ -1,7 +1,7 @@
 """Cohomology presentations attached to sphere and projective bundles.
 
 A bundle of rank ``n+1`` over a base ``B`` is described by a coefficient
-field tag K (R, C or H with real scalar dimension d = 1, 2, 4), a completed
+field tag K (R, C or H with real scalar dimension d = 1, 2, 4), a
 presentation of the cohomology of ``B``, and the characteristic classes
 ``w_1, ..., w_(n+1)`` of the bundle, where ``w_i`` sits in degree ``d*i``
 (Stiefel-Whitney classes over F2 for K = R, Chern classes for K = C, the
@@ -83,8 +83,6 @@ class BundleSpec:
     ):
         if not isinstance(rank, int) or rank < 2:
             raise BundleError("rank must be an integer >= 2 (projective fibres need n >= 1)")
-        if not base.completed:
-            raise BundleError("base presentation must be completed")
         if field is KField.R and base.ring.coeffs is not Coeffs.F2:
             raise BundleError("real bundles take F2 coefficients")
         for name in base.ring.names:
@@ -177,7 +175,7 @@ def reduce_mod2(b: BundleSpec) -> BundleSpec:
         return b
     ring2 = b.base.ring.to_f2()
     rels2 = [r.mod2(ring2) for r in b.base.relations]
-    base2 = Presentation(ring2, rels2, b.base.strategy, b.base.truncation).complete()
+    base2 = Presentation(ring2, rels2, b.base.strategy, b.base.truncation)
     classes2 = [base2.element(c.poly.mod2(ring2)) for c in b.classes]
     return BundleSpec(b.field, b.rank, base2, classes2)
 
@@ -256,7 +254,7 @@ def projective_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
     """Cohomology of the projectivized bundle.
 
     Adjoins one generator ``t`` of degree d (the Euler class of the Hopf line
-    bundle) with the single relation ``x_(n+1) = 0``.  Returns the completed
+    bundle) with the single relation ``x_(n+1) = 0``.  Returns the
     presentation together with ``e_zeta = x_n`` (Euler class of the
     complementary bundle) and ``e_eta = t``.
     """
@@ -264,7 +262,7 @@ def projective_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
     ring, rels, strategy, trunc = _extend_presentation(b.base, [("t", d)], n * d)
     xs = _twisted(b, ring, -ring.gen("t"), None, n + 1)
     rels.append(xs[n + 1])
-    pres = Presentation(ring, rels, strategy, trunc).complete()
+    pres = Presentation(ring, rels, strategy, trunc)
     e_zeta = pres.element(xs[n])
     e_eta = pres.element(ring.gen("t"))
     return pres, e_zeta, e_eta
@@ -306,7 +304,7 @@ def q_tilde_ring(b: BundleSpec) -> tuple[Presentation, Element]:
         sign = -1 if i % 2 else 1
         r2 = r2 + sign * _h_complete(ring, "S", "T", i) * b.w(n - i).poly.lift(ring)
     rels.append(r2)
-    pres = Presentation(ring, rels, strategy, trunc).complete()
+    pres = Presentation(ring, rels, strategy, trunc)
     e_alpha_tilde = pres.element(ring.gen("T") - ring.gen("S"))
     return pres, e_alpha_tilde
 
@@ -361,7 +359,7 @@ def grassmann_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
     degree.
     """
     b2, ring, rels, trunc = _grassmann_setup(b, [])
-    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, trunc).complete()
+    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, trunc)
     verify_cell_dimensions(pres, b2.base, _plane_cells(b2), trunc, "plane-bundle ring")
     return pres, pres.element(ring.gen("Y")), pres.element(ring.gen("Z"))
 
@@ -380,7 +378,7 @@ def feder_ring(b: BundleSpec) -> tuple[Presentation, Element, Element, Element]:
     b2, ring, rels, trunc = _grassmann_setup(b, [("X", 1)])
     x = ring.gen("X")
     rels.append(x ** (b2.d + 1) + x * ring.gen("Y"))
-    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, trunc).complete()
+    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, trunc)
     plane = _plane_cells(b2)
     cells = [sum(plane[max(0, m - b2.d):m + 1]) for m in range(len(plane) + b2.d)]
     verify_cell_dimensions(pres, b2.base, cells, trunc, "pair ring")

@@ -6,7 +6,7 @@ Three subcommands:
   reports minimal vanishing powers with nonzero witnesses;
 * ``planner --n N`` builds the two-rule sphere planner and verifies it
   numerically;
-* ``ring <spec-file> --which ...`` dumps a completed presentation.
+* ``ring <spec-file> --which ...`` dumps a presentation's completed relations.
 
 Spec files are line-oriented text: ``key = value`` headers followed by
 optional ``[base]``, ``[classes]`` and ``[options]`` sections.  See the
@@ -157,7 +157,7 @@ def _parse_value(section: str, key: str, value: str, path: str, line_no: int) ->
 def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedSpec:
     """Read a bundle description from a sectioned line-oriented text file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw_lines = fh.readlines()
     except OSError as exc:
         raise SpecFileError(str(exc), path) from exc
@@ -217,7 +217,7 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
             raise SpecFileError(f"bad relation: {exc}", path, line_no) from exc
     strategy = Strategy.GROEBNER_F2 if truncation is not None else Strategy.MONIC_TOWER
     try:
-        base = Presentation(ring, rel_polys, strategy, truncation).complete()
+        base = Presentation(ring, rel_polys, strategy, truncation)
     except PresentationError as exc:
         raise SpecFileError(str(exc), path) from exc
 

@@ -232,7 +232,7 @@ def sphere_quotient_ring(b: BundleSpec) -> Presentation:
             )
         trunc = max(1, top)
     rels = list(b.base.relations) + [wtop.poly]
-    return Presentation(b.base.ring, rels, Strategy.GROEBNER_F2, trunc).complete()
+    return Presentation(b.base.ring, rels, Strategy.GROEBNER_F2, trunc)
 
 
 def sphere_powers(b: BundleSpec) -> Iterator[Element]:

@@ -1,9 +1,10 @@
 """Graded quotient rings presented by generators and homogeneous relations.
 
-One reducer serves every presentation, over F2 and over Z: the completed
-relations are a Groebner basis in graded-lex order (later generators
-larger) with leading coefficients +1, and a polynomial is rewritten from
-its largest monomial down.  ``Strategy`` only validates and completes:
+One reducer serves every presentation, over F2 and over Z: the constructor
+completes the relations to a Groebner basis in graded-lex order (later
+generators larger) with leading coefficients +1, and a polynomial is
+rewritten from its largest monomial down.  ``Strategy`` only chooses how
+the constructor validates and completes them:
 
 ``MONIC_TOWER``
     Each relation is monic in its own *designated* generator: a single
@@ -57,11 +58,11 @@ normal forms is a normal form.  A truncated presentation packs at the one
 width of its truncation.  On an untruncated one an operation repacks its
 operands to the width its result's degree needs, which grows only
 logarithmically along a power sequence.  A ``Polynomial`` is built only
-when ``Element.poly`` is read.  Each completed presentation caches its
-basis packed at every width it has used.
+when ``Element.poly`` is read.  Each presentation caches its basis packed
+at every width it has used.
 
 Dimensions are counted on the standard monomials, those that no lead of the
-completed basis divides; they form a basis of the quotient in each degree.
+basis divides; they form a basis of the quotient in each degree.
 A divisor of a standard monomial is standard, so they form an order ideal,
 and one depth-first walk from 1 that raises one exponent at a time and stops
 at the first multiple of a lead visits each of them once, never touching the
@@ -136,13 +137,12 @@ def _widen(m: int, n: int, width: int, wider: int) -> int:
 class Presentation:
     """A graded ring given by generators, homogeneous relations and a strategy.
 
-    Instances are immutable.  ``complete()`` returns a presentation whose
-    relation set is ready for normal-form computation; elements can only be
-    built from completed presentations.
+    Instances are immutable.  The constructor validates the relations and
+    completes them: a monic tower is stored with leading coefficients +1, an
+    F2 presentation as its reduced Groebner basis up to the truncation.
     """
 
-    __slots__ = ("ring", "relations", "strategy", "truncation", "completed",
-                 "_packs", "_dims", "_hash")
+    __slots__ = ("ring", "relations", "strategy", "truncation", "_packs", "_dims", "_hash")
 
     def __init__(
         self,
@@ -150,7 +150,6 @@ class Presentation:
         relations: Sequence[Polynomial],
         strategy: Strategy,
         truncation: int | None = None,
-        _completed: bool = False,
     ):
         rels = []
         for r in relations:
@@ -171,10 +170,10 @@ class Presentation:
         self.ring = ring
         self.strategy = strategy
         self.truncation = truncation
-        self.completed = _completed
         if strategy is Strategy.MONIC_TOWER:
-            rels = _tower_normalize(ring, rels)
-        self.relations = tuple(rels)
+            self.relations = tuple(_tower_normalize(ring, rels))
+        else:
+            self.relations = _buchberger(ring, rels, truncation)
         # width -> (guard bits, packed basis), filled by ``_packed``
         self._packs: dict[int, tuple[int, tuple[_BasisElement, ...]]] = {}
         # dimensions in degrees 0, 1, ..., filled by ``dimensions``
@@ -184,20 +183,12 @@ class Presentation:
     # -- completion -----------------------------------------------------------
 
     def complete(self) -> "Presentation":
-        """Return a presentation whose relations admit canonical normal forms.
+        """The presentation itself, which its constructor already completed.
 
-        Monic towers are already complete, so they come back unchanged (only
-        marked).  F2 presentations run truncated Buchberger completion and the
-        relation set is replaced by the reduced basis.
+        Kept for callers that still complete explicitly, among them the
+        benchmark harness, which also rebinds it by name to trace it.
         """
-        if self.completed:
-            return self
-        if self.strategy is Strategy.MONIC_TOWER:
-            return Presentation(self.ring, self.relations, self.strategy,
-                                self.truncation, _completed=True)
-        basis = _buchberger(self.ring, self.relations, self.truncation)
-        return Presentation(self.ring, basis, self.strategy,
-                            self.truncation, _completed=True)
+        return self
 
     # -- normal forms ----------------------------------------------------------
 
@@ -214,8 +205,6 @@ class Presentation:
         """Guard bits and basis packed at ``width``, cached per width.
         Elements of a degree the width does not hold are left out: their
         leads divide nothing it holds."""
-        if not self.completed:
-            raise PresentationError("presentation must be completed first")
         if width not in self._packs:
             degrees = self.ring.degrees
             self._packs[width] = (_guard(self.ring.ngens, width), tuple(
@@ -234,8 +223,6 @@ class Presentation:
             p = self.ring.parse(p)
         elif isinstance(p, int):
             p = self.ring.const(p)
-        if not self.completed:
-            raise PresentationError("presentation must be completed first")
         if p.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
         top = p.degree() if self.truncation is None else self.truncation
@@ -333,16 +320,14 @@ class Presentation:
         (where even degree 0 vanishes), or None if unbounded."""
         if self.truncation is not None:
             bound = self.truncation
+        elif len(self.relations) < self.ring.ngens:
+            return None  # a generator without a relation has no vanishing power
         else:
-            # Finite only when every generator has a pure power among the
-            # leading exponents; the box of standard monomials is then bounded.
-            bound = 0
-            leads = [r.leading_exponents() for r in self.relations]
-            for i, d in enumerate(self.ring.degrees):
-                pure = [l[i] for l in leads if all(e == 0 for j, e in enumerate(l) if j != i) and l[i] > 0]
-                if not pure:
-                    return None
-                bound += (min(pure) - 1) * d
+            # An untruncated presentation is a monic tower: each generator g
+            # has one relation, led by a pure power g^m, so the standard
+            # monomials fill a box.
+            bound = sum((m - 1) * d for r in self.relations
+                        for m, d in zip(r.leading_exponents(), self.ring.degrees) if m)
         dims = self.dimensions(bound)
         return max((m for m, count in enumerate(dims) if count), default=-1)
 
@@ -355,13 +340,11 @@ class Presentation:
             and self.relations == other.relations
             and self.strategy is other.strategy
             and self.truncation == other.truncation
-            and self.completed == other.completed
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ring, self.relations, self.strategy,
-                               self.truncation, self.completed))
+            self._hash = hash((self.ring, self.relations, self.strategy, self.truncation))
         return self._hash
 
     def __repr__(self) -> str:
@@ -372,7 +355,7 @@ class Presentation:
 
 def free_presentation(coeffs: Coeffs, generators: Sequence[tuple[str, int]]) -> Presentation:
     """Polynomial ring with no relations."""
-    return Presentation(PolyRing(coeffs, generators), (), Strategy.MONIC_TOWER).complete()
+    return Presentation(PolyRing(coeffs, generators), (), Strategy.MONIC_TOWER)
 
 
 def point_presentation(coeffs: Coeffs = Coeffs.F2) -> Presentation:
@@ -397,8 +380,8 @@ def _tower_normalize(ring: PolyRing, relations: list[Polynomial]) -> list[Polyno
         gidx, lc = support[-1], rel.coefficient(lead)
         if len(support) > 1 or lc not in (1, -1):
             raise PresentationError(
-                f"relation {rel} is not monic in generator "
-                f"{ring.names[gidx]!r}; use GROEBNER_F2"
+                f"relation {rel} is not monic in generator {ring.names[gidx]!r}; "
+                "only an F2 presentation with a truncation (GROEBNER_F2) takes such relations"
             )
         if gidx in seen:
             raise PresentationError(

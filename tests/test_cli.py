@@ -15,12 +15,14 @@ from tcbundles.geomplan import MAX_SAMPLE_COORDINATES
 from tcbundles import bundles
 from tcbundles.obstruct import (feder_of, grassmann_of, projective_of, q_tilde_of,
                                 sphere_quotient_ring)
-from tcbundles.ringquot import ModuleBasisError
+from tcbundles.ringquot import ModuleBasisError, Presentation
 
 MILNOR = "specs/milnor_r2.spec"
 COMPLEX = "specs/complex_n2.spec"
 PETERSON = "specs/peterson_r1.spec"
 RP3 = "specs/rp3_bundle.spec"
+ROOT = Path(__file__).resolve().parent.parent
+ALL_SPECS = sorted(p for d in ("specs", "tests/specs") for p in (ROOT / d).glob("*.spec"))
 
 
 def run_cli(capsys, *argv):
@@ -343,6 +345,15 @@ def test_class_index_above_rank_reports_line(tmp_path, capsys):
     assert err == f"error: {path}:8: class index 7 outside 1..2\n"
 
 
+def test_spec_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    path = tmp_path / "rp3_bundle.spec"
+    path.write_bytes(b"\xef\xbb\xbf" + (ROOT / RP3).read_bytes())
+    code, out, err = run_cli(capsys, "criteria", str(path), "--machine")
+    assert code == 0 and err == ""
+    assert out == (ROOT / "tests" / "golden" / "criteria_rp3_bundle.txt").read_text(
+        encoding="utf-8")
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "criteria", "specs/no_such_file.spec")
     assert code == 2
@@ -410,6 +421,15 @@ def test_ring_dump_all_kinds_run(capsys):
         code, out, err = run_cli(capsys, "ring", PETERSON, "--which", which, "--machine")
         assert code == 0, (which, err)
         assert machine_map(out)["which"] == which
+
+
+@pytest.mark.parametrize("path", ALL_SPECS, ids=[p.stem for p in ALL_SPECS])
+def test_rings_rebuilt_from_their_relations_are_equal(path):
+    bundle = parse_spec_file(str(path)).bundle
+    for build in (projective_of, q_tilde_of, grassmann_of, feder_of):
+        pres = build(bundle)[0]
+        again = Presentation(pres.ring, pres.relations, pres.strategy, pres.truncation)
+        assert again == pres and hash(again) == hash(pres), build.__name__
 
 
 def test_ring_dump_human_mentions_strategy(capsys):

@@ -56,6 +56,8 @@ def test_complete_planes_rank_three():
 def test_complete_tower_returned_unchanged():
     pres = milnor_ring(2)
     assert pres.complete() is pres
+    planes = planes_of_r3()
+    assert planes.complete() is planes
 
 
 def test_complete_single_monic_relation_already_complete():
@@ -487,6 +489,14 @@ def test_mixed_degree_completion_matches_oracles(seed):
 # -- the dimension walk against the enumeration oracle -----------------------------
 
 
+def rebuilt(pres):
+    """``pres`` built again from its own completed relations, which must
+    give an equal presentation."""
+    again = Presentation(pres.ring, pres.relations, pres.strategy, pres.truncation)
+    assert again == pres and hash(again) == hash(pres)
+    return again
+
+
 def check_walk_against_oracle(pres, top, bound):
     """``dimensions``, ``standard_monomials`` and ``top_degree`` of ``pres``
     against brute-force enumeration in degrees up to ``top``; ``bound`` is a
@@ -500,8 +510,7 @@ def check_walk_against_oracle(pres, top, bound):
     scan = next((m for m in range(bound, -1, -1) if oracle_standard_monomials(pres, m)), -1)
     assert pres.top_degree() == scan
     # a fresh copy that first walks a short way and then further
-    fresh = Presentation(pres.ring, pres.relations, pres.strategy, pres.truncation,
-                         _completed=True)
+    fresh = rebuilt(pres)
     assert fresh.dimensions(1) == [len(w) for w in want[:2]]
     assert fresh.dimensions(top) == [len(w) for w in want]
 
@@ -555,15 +564,6 @@ def test_walk_outside_the_degree_range():
     assert pres.dimensions(2) == [1, 1, 2]
     assert pres.standard_monomials(4) == [(2, 1), (0, 2)]
     assert pres.standard_monomials(6) == [] and pres.dimension(7) == 0
-
-
-def test_walk_needs_a_completed_presentation():
-    ring = PolyRing(Coeffs.F2, [("x", 1)])
-    raw = Presentation(ring, [ring.parse("x^3")], Strategy.GROEBNER_F2, 5)
-    with pytest.raises(PresentationError):
-        raw.dimensions(3)
-    with pytest.raises(PresentationError):
-        raw.standard_monomials(2)
 
 
 # -- the packed monomial encoding --------------------------------------------------------
