@@ -25,16 +25,20 @@ vectors by ``(..., d)`` scalars, and ``line_error``, ``lines_equal``,
 ``proj_pi_map``, ``proj_pi_inverse``) run on such batches.  A path parameter ``t`` broadcasts
 against the leading axes, so ``t`` of shape ``(T, 1)`` with points of shape
 ``(B, dim)`` gives paths of shape ``(T, B, dim)``.  A batch raises
-``GeometryError`` if any of its rows is degenerate.  The single-point sphere
-functions (``geodesic_c``, ``rho_sphere``, ``sigma_sphere``, ``pi_map``,
-``pi_inverse``) and ``Planner.plan`` run the same kernels on one row, and
-``verify_planner`` and both chart roundtrips run them over batches of sampled
-rows.  ``SpherePoint`` stays one point: it rejects a 2-D array instead of
+``GeometryError`` if any of its rows is degenerate.  A planner rule's
+``path(u, v)`` does its per-pair work once, on the points alone, and returns a
+function of ``t`` that broadcasts in the same way; ``_arc(u, v)`` is that step
+for the great-circle arc, and ``_c_raw(t, u, v)`` is ``_arc(u, v)(t)``.  The
+single-point sphere functions (``geodesic_c``, ``rho_sphere``, ``sigma_sphere``,
+``pi_map``, ``pi_inverse``) and ``Planner.plan`` run the same kernels on one
+row, and ``verify_planner`` and both chart roundtrips run them over batches of
+sampled rows.  ``SpherePoint`` stays one point: it rejects a 2-D array instead of
 reading it as a batch, and batched sphere code passes raw arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -182,7 +186,12 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", u, v)
 
 
-def _c_raw(t: float | np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+PairPath = Callable[[float | np.ndarray], np.ndarray]
+
+
+def _arc(u: np.ndarray, v: np.ndarray) -> PairPath:
+    """The great-circle arc from u (t = 0) to v (t = 1) as a function of t,
+    with its angle and normal direction worked out once for the pair."""
     cos_theta = np.clip(_dot(u, v), -1.0, 1.0)
     theta = np.arccos(cos_theta)
     if np.any(theta > np.pi - GEOM_TOL):
@@ -190,9 +199,19 @@ def _c_raw(t: float | np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     sin_theta = np.sin(theta)
     fixed = sin_theta < SCALAR_TOL
     w = (v - cos_theta[..., None] * u) / np.where(fixed, 1.0, sin_theta)[..., None]
-    angle = theta * np.asarray(t, dtype=float)
-    path = np.cos(angle)[..., None] * u + np.sin(angle)[..., None] * w
-    return np.where(fixed[..., None], u, path)
+    # a pair with u = v stays at u; without one, np.where would copy the path
+    any_fixed = bool(fixed.any())
+
+    def at(t: float | np.ndarray) -> np.ndarray:
+        angle = theta * np.asarray(t, dtype=float)
+        path = np.cos(angle)[..., None] * u + np.sin(angle)[..., None] * w
+        return np.where(fixed[..., None], u, path) if any_fixed else path
+
+    return at
+
+
+def _c_raw(t: float | np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return _arc(u, v)(t)
 
 
 def geodesic_c(t: float, u, v) -> SpherePoint:
@@ -361,16 +380,18 @@ def proj_pi_inverse(
 @dataclass(frozen=True)
 class PlannerRule:
     """One local rule: a domain predicate on pairs and a path map with
-    path(1, u, v) = u and path(-1, u, v) = v on the domain.
+    path(u, v)(1) = u and path(u, v)(-1) = v on the domain.
 
     Both broadcast over leading axes: for points ``u, v`` of shape
-    ``(..., dim)``, ``accepts(u, v)`` is a bool array of the leading shape and
-    ``path(t, u, v)`` is a ``(..., dim)`` array, with ``t`` broadcast against
-    the leading shape.  ``path`` is only called on rows that ``accepts``."""
+    ``(..., dim)``, ``accepts(u, v)`` is a bool array of the leading shape.
+    ``path(u, v)`` does the per-pair work once and returns the pairs' path, a
+    function of ``t`` whose value is a ``(..., dim)`` array, with ``t``
+    broadcast against the leading shape.  ``path`` is only called on rows
+    that ``accepts``."""
 
     name: str
     accepts: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    path: Callable[[float | np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    path: Callable[[np.ndarray, np.ndarray], PairPath]
 
 
 @dataclass(frozen=True)
@@ -384,10 +405,11 @@ class Planner:
     lipschitz: float
 
     def plan(self, t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The path point at t for one pair of points of shape (dim,)."""
+        """The path point at t for one pair of points of shape (dim,): the
+        first accepting rule's ``path(u, v)`` evaluated at t."""
         for rule in self.rules:
             if rule.accepts(u, v):
-                return rule.path(t, u, v)
+                return rule.path(u, v)(t)
         raise GeometryError("no rule accepts the given pair")
 
 
@@ -422,40 +444,47 @@ def build_sphere_planner(n: int) -> Planner:
     def accepts_near(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _dot(u, v) > -1.0 + GEOM_TOL
 
-    def path_near(t: float | np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return _c_raw((1.0 - np.asarray(t, dtype=float)) / 2.0, u, v)
+    def path_near(u: np.ndarray, v: np.ndarray) -> PairPath:
+        arc = _arc(u, v)
+        return lambda t: arc((1.0 - np.asarray(t, dtype=float)) / 2.0)
 
     def accepts_far(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.linalg.norm(u - v, axis=-1) > GEOM_TOL
 
-    def path_far(t: float | np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def path_far(x: np.ndarray, y: np.ndarray) -> PairPath:
         u0, w = _pi_inverse_raw(x, y)
-        t = np.asarray(t, dtype=float)
 
-        def chart(centre: np.ndarray) -> np.ndarray:
-            # the chart segments out of u0 and into -u0 scale w by |2t| - 1
-            return _pi_raw(centre, (np.abs(2.0 * t[..., None]) - 1.0) * w)
+        @functools.cache
+        def crossing(to_u0: bool) -> PairPath:
+            # the section crossing from J u0 to u0 or -u0, built on first use
+            return _arc(complex_structure(u0), u0 if to_u0 else -u0)
 
-        def crossing(target: np.ndarray) -> np.ndarray:
-            # the section crossing, with its arc worked out once per pair
-            return _c_raw(np.abs(2.0 * t), complex_structure(u0), target)
+        def at(t: float | np.ndarray) -> np.ndarray:
+            t = np.asarray(t, dtype=float)
 
-        # chart out of u0 for t >= 1/2, into -u0 for t <= -1/2, and in between
-        # the crossing towards u0 for t >= 0 and towards -u0 otherwise (NaN
-        # too); only the pieces some t selects are evaluated
-        out_of_u0, into_minus_u0 = t >= 0.5, t <= -0.5
-        towards_u0 = (t >= 0.0) & ~out_of_u0
-        towards_minus_u0 = ~(out_of_u0 | into_minus_u0 | towards_u0)
-        pieces = ((out_of_u0, lambda: chart(u0)), (into_minus_u0, lambda: chart(-u0)),
-                  (towards_u0, lambda: crossing(u0)), (towards_minus_u0, lambda: crossing(-u0)))
-        path = None
-        for selects, piece in pieces:
-            if selects.all():
-                return piece()
-            if selects.any():
-                value = piece()
-                path = value if path is None else np.where(selects[..., None], value, path)
-        return path
+            def chart(centre: np.ndarray) -> np.ndarray:
+                # the chart segments out of u0 and into -u0 scale w by |2t| - 1
+                return _pi_raw(centre, (np.abs(2.0 * t[..., None]) - 1.0) * w)
+
+            # chart out of u0 for t >= 1/2, into -u0 for t <= -1/2, and in
+            # between the crossing towards u0 for t >= 0 and towards -u0
+            # otherwise (NaN too); only the pieces some t selects are evaluated
+            out_of_u0, into_minus_u0 = t >= 0.5, t <= -0.5
+            towards_u0 = (t >= 0.0) & ~out_of_u0
+            towards_minus_u0 = ~(out_of_u0 | into_minus_u0 | towards_u0)
+            pieces = ((out_of_u0, lambda: chart(u0)), (into_minus_u0, lambda: chart(-u0)),
+                      (towards_u0, lambda: crossing(True)(np.abs(2.0 * t))),
+                      (towards_minus_u0, lambda: crossing(False)(np.abs(2.0 * t))))
+            path = None
+            for selects, piece in pieces:
+                if selects.all():
+                    return piece()
+                if selects.any():
+                    value = piece()
+                    path = value if path is None else np.where(selects[..., None], value, path)
+            return path
+
+        return at
 
     return Planner(
         n=n,
@@ -515,9 +544,11 @@ def _blocks(count: int, row_coords: int):
 def _max_distance(a: np.ndarray, b: np.ndarray) -> float:
     # the largest of norm(a - b, axis=-1), which is sqrt(add.reduce(d * d)):
     # sqrt is monotone and correctly rounded, so one root of the largest sum
-    # has the same bits as the largest root
+    # has the same bits as the largest root; squaring in place saves an
+    # array of the chunk's size, which at large n is fresh memory to fault in
     d = a - b
-    return float(np.sqrt(np.max(np.add.reduce(d * d, axis=-1), initial=0.0)))
+    d *= d
+    return float(np.sqrt(np.max(np.add.reduce(d, axis=-1), initial=0.0)))
 
 
 def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:
@@ -529,10 +560,13 @@ def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:
     and geodesic equivariance under 100 random orthogonal maps.
 
     Rules run on blocks of sampled rows through their broadcasting
-    contract.  The continuity proxy runs its rows over chunks of the t-grid
-    that overlap in one point, and the equivariance trials run in blocks
-    with one stacked QR, drawn trial by trial.  Block and chunk sizes follow
-    ``_BLOCK_COORDS``; the report does not depend on them.
+    contract, and each rule's ``path`` is prepared once per block and
+    evaluated at every t the block needs: both endpoints, or the whole
+    diagonal grid.  The continuity proxy prepares each accepting rule once
+    and runs its rows over chunks of the t-grid that overlap in one point,
+    and the equivariance trials run in blocks with one stacked QR, drawn
+    trial by trial.  Block and chunk sizes follow ``_BLOCK_COORDS``; the
+    report does not depend on them.
     """
     if samples < 1:
         raise GeometryError(f"samples must be >= 1, got {samples}")
@@ -558,8 +592,9 @@ def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:
             mask = domain[rows] = rule.accepts(u, v)
             if mask.any():
                 ur, vr = u[mask], v[mask]
-                endpoint = max(endpoint, _max_distance(rule.path(1.0, ur, vr), ur),
-                               _max_distance(rule.path(-1.0, ur, vr), vr))
+                path = rule.path(ur, vr)
+                endpoint = max(endpoint, _max_distance(path(1.0), ur),
+                               _max_distance(path(-1.0), vr))
     cover_failures = int(np.count_nonzero(~domains.any(axis=0)))
     # random pairs never hit the degenerate strata, so probe them directly:
     # the diagonal and the antipodal pairs must also be covered
@@ -580,7 +615,7 @@ def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:
             mask = rule.accepts(u, u)
             if mask.any():
                 ur = u[mask]
-                diagonal = max(diagonal, _max_distance(rule.path(t_grid, ur, ur), ur))
+                diagonal = max(diagonal, _max_distance(rule.path(ur, ur)(t_grid), ur))
 
     step = CONTINUITY_RESOLUTION
     fine_grid = np.arange(-1.0, 1.0 + step / 2, step)[:, None]
@@ -590,13 +625,14 @@ def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:
         mask = domain[: len(heads)]
         if mask.any():
             u, v = heads[mask], head_vs[mask]
+            path = rule.path(u, v)
             # each chunk of the t-grid opens on the last point of the one
             # before, so every consecutive step is measured exactly once; a
             # floor of 9 points bounds the calls at large n and keeps the
             # shared points to 1/8 of the work
             width = max(9, _BLOCK_COORDS // (len(u) * dim))
             for start in range(0, len(fine_grid) - 1, width - 1):
-                points = rule.path(fine_grid[start : start + width], u, v)
+                points = path(fine_grid[start : start + width])
                 continuity = max(continuity, _max_distance(points[1:], points[:-1]))
     continuity_bound = planner.lipschitz * step + 1e-6
 

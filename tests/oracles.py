@@ -8,7 +8,9 @@ the equivariance replay runs the geodesic kernel one trial at a time, so
 that it checks the batched trials of ``verify_planner`` bit for bit, and the
 section-crossing replay evaluates every piece of the rule at every t, with
 its own two-output chart formula, so that it checks the rule's piecewise
-evaluation bit for bit.
+evaluation bit for bit.  The arc formula is written out in one pass, so that
+it checks the package's arc, whose per-pair part runs once per pair, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -249,11 +251,35 @@ def planner_equivariance_error(n: int, samples: int, seed: int) -> float:
     return equivariance
 
 
+# -- the great-circle arc, in one pass ----------------------------------------------------
+
+
+def arc_path(t, u, v):
+    """``geomplan._c_raw(t, u, v)`` written out in one pass: the angle and the
+    normal direction are worked out together with the path, and the rows with
+    u = v are kept at u by an ``np.where`` that runs whether or not any row
+    has u = v."""
+    import numpy as np
+
+    from tcbundles.bundles import GeometryError
+
+    cos_theta = np.clip(np.einsum("...i,...i->...", u, v), -1.0, 1.0)
+    theta = np.arccos(cos_theta)
+    if np.any(theta > np.pi - 1e-9):
+        raise GeometryError("geodesic undefined for antipodal points")
+    sin_theta = np.sin(theta)
+    fixed = sin_theta < 1e-12
+    w = (v - cos_theta[..., None] * u) / np.where(fixed, 1.0, sin_theta)[..., None]
+    angle = theta * np.asarray(t, dtype=float)
+    path = np.cos(angle)[..., None] * u + np.sin(angle)[..., None] * w
+    return np.where(fixed[..., None], u, path)
+
+
 # -- the section-crossing rule, every piece at every t ---------------------------------
 
 
 def section_crossing_path(t, x, y):
-    """``build_sphere_planner(n).rules[1].path(t, x, y)`` by the full-grid
+    """``build_sphere_planner(n).rules[1].path(x, y)(t)`` by the full-grid
     formula: both chart segments and the whole crossing are evaluated for
     every t, then one is kept by a chain of ``np.where``."""
     import numpy as np

@@ -40,7 +40,7 @@ from tcbundles.geomplan import (
     k_mul,
     k_scalar_mul,
 )
-from oracles import planner_equivariance_error, section_crossing_path
+from oracles import arc_path, planner_equivariance_error, section_crossing_path
 
 RNG = np.random.default_rng(20240817)
 
@@ -580,7 +580,7 @@ def test_planner_paths_stay_on_the_sphere():
     for rule, target in ((planner.rules[0], v), (planner.rules[1], -u)):
         assert rule.accepts(u, target)
         for t in np.linspace(-1.0, 1.0, 41):
-            point = rule.path(float(t), u, target)
+            point = rule.path(u, target)(float(t))
             assert abs(float(np.linalg.norm(point)) - 1.0) < 1e-9
 
 
@@ -588,10 +588,11 @@ def test_planner_section_rule_is_continuous_at_the_seams():
     planner = build_sphere_planner(3)
     rule = planner.rules[1]
     u, v = (random_sphere_point(4) for _ in range(2))
+    path = rule.path(u, v)
     eps = 1e-7
     for seam in (-0.5, 0.0, 0.5):
-        before = rule.path(seam - eps, u, v)
-        after = rule.path(seam + eps, u, v)
+        before = path(seam - eps)
+        after = path(seam + eps)
         assert np.linalg.norm(before - after) < 1e-5
 
 
@@ -613,11 +614,81 @@ def test_section_rule_matches_the_full_grid_formula_bit_for_bit(n):
     rule = build_sphere_planner(n).rules[1]
     us, vs = random_units(20, n + 1), random_units(20, n + 1)
     vs[:5] = -us[:5]
-    for t in SECTION_RULE_TS:
-        for u, v in ((us, vs), (us[7], vs[7])):
-            got, want = rule.path(t, u, v), section_crossing_path(t, u, v)
+    for u, v in ((us, vs), (us[7], vs[7])):
+        path = rule.path(u, v)
+        for t in SECTION_RULE_TS:
+            got, want = path(t), section_crossing_path(t, u, v)
             assert np.array_equal(got, want, equal_nan=True)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", (1, 3, 7, 63))
+def test_arc_matches_the_one_pass_formula_bit_for_bit(n):
+    us, vs = random_units(20, n + 1), random_units(20, n + 1)
+    mixed = vs.copy()
+    mixed[::3] = us[::3]
+    near = build_sphere_planner(n).rules[0]
+    # every row fixed (u = v), no row fixed, some rows fixed, and one row
+    for u, v in ((us, us), (us, vs), (us, mixed), (us[7], vs[7])):
+        path = near.path(u, v)
+        for t in SECTION_RULE_TS:
+            want = arc_path(t, u, v)
+            half = arc_path((1.0 - np.asarray(t, dtype=float)) / 2.0, u, v)
+            for got, expected in ((_c_raw(t, u, v), want), (path(t), half)):
+                assert np.array_equal(got, expected, equal_nan=True)
+                assert got.tobytes() == expected.tobytes()
+
+
+def _counting_rules(planner, log):
+    """The planner's rules, each logging (rule name, rows, t-values seen) for
+    every preparation of its path; an evaluation appends its t to the list."""
+
+    def counting(rule):
+        def path(u, v):
+            seen = []
+            log.append((rule.name, len(u), seen))
+            prepared = rule.path(u, v)
+
+            def at(t):
+                seen.append(np.asarray(t, dtype=float))
+                return prepared(t)
+
+            return at
+
+        return PlannerRule(rule.name, rule.accepts, path)
+
+    return Planner(planner.n, tuple(counting(rule) for rule in planner.rules),
+                   planner.lipschitz)
+
+
+def test_verify_prepares_each_pair_once_for_all_its_t(monkeypatch):
+    planner = build_sphere_planner(3)
+    samples = 300
+    expected = verify_planner(planner, samples, 0).lines()
+    fine_grid = np.arange(-1.0, 1.0 + 1 / 512, 1 / 256)
+    evaluations = {}
+    for budget in (16, 1 << 20):
+        monkeypatch.setattr(geomplan, "_BLOCK_COORDS", budget)
+        log = []
+        assert verify_planner(_counting_rules(planner, log), samples, 0).lines() == expected
+        blocks = -(-samples // max(1, budget // 4))
+        for rule in planner.rules:
+            preparations = [(rows, seen) for name, rows, seen in log if name == rule.name]
+            assert all(seen for _, seen in preparations)
+            # the endpoint stage: one preparation per block, evaluated at both ends
+            endpoint = [(rows, seen) for rows, seen in preparations if seen[0].ndim == 0]
+            assert len(endpoint) == blocks
+            assert sum(rows for rows, _ in endpoint) == samples
+            assert all([float(t) for t in seen] == [1.0, -1.0] for _, seen in endpoint)
+            # the continuity probe: one preparation for all chunks of the 513-point
+            # grid, the rest being the diagonal stage's 17-point grids
+            continuity = [seen for _, seen in preparations
+                          if seen[0].ndim == 2 and len(seen[0]) != 17]
+            assert len(continuity) == 1
+            assert np.array_equal(np.unique(np.concatenate(continuity[0])), fine_grid)
+            evaluations[budget, rule.name] = len(continuity[0])
+    for rule in planner.rules:
+        assert evaluations[16, rule.name] > evaluations[1 << 20, rule.name] == 1
 
 
 def test_kernels_broadcast_and_reject_a_batch_with_one_degenerate_row():
@@ -661,7 +732,7 @@ def test_batched_rules_agree_with_plan_on_each_pair(n):
         assert accepted.shape == (len(us),) and accepted.dtype == bool
         assert accepted.tolist() == [bool(rule.accepts(u, v)) for u, v in zip(us, vs)]
         take = todo & accepted
-        planned[:, take] = rule.path(ts[:, None], us[take], vs[take])
+        planned[:, take] = rule.path(us[take], vs[take])(ts[:, None])
         todo &= ~accepted
     assert not todo.any()
     for i, (u, v) in enumerate(zip(us, vs)):
@@ -686,15 +757,15 @@ def test_planner_rules_are_unitary_equivariant_on_their_domains(n):
         for rule in planner.rules:
             mask = rule.accepts(us, vs)
             assert np.array_equal(rule.accepts(gu, gv), mask)
-            moved = rule.path(ts, us[mask], vs[mask]) @ g.T
-            worst = max(worst, float(np.max(np.abs(moved - rule.path(ts, gu[mask], gv[mask])))))
+            moved = rule.path(us[mask], vs[mask])(ts) @ g.T
+            worst = max(worst, float(np.max(np.abs(moved - rule.path(gu[mask], gv[mask])(ts)))))
     assert worst <= 1e-9
     if n > 1:
         # a rotation that does not commute with the complex structure moves
         # the section crossing, so the check can fail
         g = random_rotation(n + 1)
-        moved = far.path(0.0, us[:5], vs[:5]) @ g.T
-        assert np.max(np.abs(moved - far.path(0.0, us[:5] @ g.T, vs[:5] @ g.T))) > 1e-3
+        moved = far.path(us[:5], vs[:5])(0.0) @ g.T
+        assert np.max(np.abs(moved - far.path(us[:5] @ g.T, vs[:5] @ g.T)(0.0))) > 1e-3
 
 
 def test_empty_planner_raises_on_plan():
@@ -722,8 +793,8 @@ def test_verify_reports_cover_failures_for_arc_only_planner():
     def accepts(u, v):
         return np.einsum("...i,...i->...", u, v) > -1.0 + GEOM_TOL
 
-    def path(t, u, v):
-        return _c_raw((1.0 - np.asarray(t, dtype=float)) / 2.0, u, v)
+    def path(u, v):
+        return lambda t: _c_raw((1.0 - np.asarray(t, dtype=float)) / 2.0, u, v)
 
     arc_only = PlannerRule("shortest-arc", accepts, path)
     partial = Planner(n=1, rules=(arc_only,), lipschitz=4.0)
@@ -780,10 +851,10 @@ def test_continuity_catches_a_jump_across_a_chunk_boundary(monkeypatch, budget):
     def accepts(u, v):
         return np.ones(u.shape[:-1], dtype=bool)
 
-    def path(t, u, v):
+    def path(u, v):
         # u above the jump and v below it: a step of |u - v| between two
         # adjacent grid points, and no error on the diagonal or at t = +-1
-        return np.where(np.asarray(t, dtype=float)[..., None] > t_jump, u, v)
+        return lambda t: np.where(np.asarray(t, dtype=float)[..., None] > t_jump, u, v)
 
     planner = Planner(n=1, rules=(PlannerRule("jump", accepts, path),), lipschitz=4.0)
     report = verify_planner(planner, samples=100, seed=3)
