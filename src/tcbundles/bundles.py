@@ -20,8 +20,10 @@ From such a spec the constructors build:
 The fibre relations are top terms of one twisted recurrence ``c_0 = 1``,
 ``c_i = w_i + y*c_(i-1) + z*c_(i-2)``: (y, z) is (-t, 0) for ``t``, (-S, 0) for
 the first relation in ``S, T`` and (Y, Z) for the planes.  Named Euler classes
-come back together with each presentation.  Module bases claimed by the
-constructions are verified degreewise by dimension counts.
+come back together with each presentation.  Each ring extends a completed
+one (``Presentation.extend``): the unordered-pairs ring the plane ring, the
+others the base.  The plane ring's module basis is verified degreewise by
+dimension counts, the unordered-pairs ring's by its leads.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Mapping, Sequence
 from .polyalg import Coeffs, PolyRing, Polynomial
 from .ringquot import (
     Element,
+    ModuleBasisError,
     Presentation,
-    Strategy,
     point_presentation,
     verify_cell_dimensions,
 )
@@ -183,58 +185,14 @@ def reduce_mod2(b: BundleSpec) -> BundleSpec:
 # -- presentation extension ------------------------------------------------------
 
 
-def _truncation_monomials(ring: PolyRing, indices: Sequence[int], bound: int) -> list[Polynomial]:
-    """Minimal monomials in the chosen generators of weighted degree > bound.
-
-    These generate the ideal of everything above the bound, so they encode a
-    semantic truncation as honest relations once new generators are adjoined.
-    """
-    degs = [ring.degrees[i] for i in indices]
-    if not degs:
-        return []
-    out: list[Polynomial] = []
-
-    def rec(pos: int, exps: list[int], total: int) -> None:
-        if total > bound:
-            # minimal iff removing any present generator lands at or below bound
-            if all(e == 0 or total - d <= bound for e, d in zip(exps, degs)):
-                full = [0] * ring.ngens
-                for i, e in zip(indices, exps):
-                    full[i] = e
-                out.append(ring.monomial(tuple(full)))
-            return
-        if pos == len(degs):
-            return
-        limit = (bound + degs[pos] - total) // degs[pos] + 1
-        for e in range(limit + 1):
-            exps[pos] = e
-            rec(pos + 1, exps, total + e * degs[pos])
-        exps[pos] = 0
-
-    rec(0, [0] * len(degs), 0)
-    return out
-
-
-def _extend_presentation(
-    base: Presentation,
-    new_gens: Sequence[tuple[str, int]],
-    fibre_budget: int,
-) -> tuple[PolyRing, list[Polynomial], Strategy, int | None]:
-    """Common setup for adjoining fibre generators to a base presentation.
-
-    Returns the extended ring, the lifted base relations (with any base
-    truncation materialized as monomial relations), the strategy, and the
-    total truncation degree for the extended presentation.
-    """
-    ring = base.ring.with_generators(new_gens)
-    rels = [r.lift(ring) for r in base.relations]
+def _degree_bound(base: Presentation) -> int:
+    """The degree bound of a derived ring's base: its truncation, else its top degree."""
     if base.truncation is not None:
-        if ring.coeffs is not Coeffs.F2:
-            raise BundleError("truncated integral bases are not supported")
-        base_indices = [ring.index(n) for n in base.ring.names]
-        rels.extend(_truncation_monomials(ring, base_indices, base.truncation))
-        return ring, rels, Strategy.GROEBNER_F2, base.truncation + fibre_budget
-    return ring, rels, base.strategy, None
+        return base.truncation
+    top = base.top_degree()
+    if top is None:
+        raise BundleError("base has unbounded degrees; give it a truncation")
+    return top
 
 
 def _twisted(b: BundleSpec, ring: PolyRing, y: Polynomial, z: Polynomial | None,
@@ -259,10 +217,10 @@ def projective_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
     complementary bundle) and ``e_eta = t``.
     """
     n, d = b.n, b.d
-    ring, rels, strategy, trunc = _extend_presentation(b.base, [("t", d)], n * d)
+    ring = b.base.ring.with_generators([("t", d)])
     xs = _twisted(b, ring, -ring.gen("t"), None, n + 1)
-    rels.append(xs[n + 1])
-    pres = Presentation(ring, rels, strategy, trunc)
+    trunc = b.base.truncation
+    pres = b.base.extend(ring, [xs[n + 1]], None if trunc is None else trunc + n * d)
     e_zeta = pres.element(xs[n])
     e_eta = pres.element(ring.gen("t"))
     return pres, e_zeta, e_eta
@@ -295,36 +253,24 @@ def q_tilde_ring(b: BundleSpec) -> tuple[Presentation, Element]:
     line-to-line homomorphism bundle.
     """
     n, d = b.n, b.d
-    ring, rels, strategy, trunc = _extend_presentation(
-        b.base, [("S", d), ("T", d)], (2 * n - 1) * d
-    )
-    rels.append(_twisted(b, ring, -ring.gen("S"), None, n + 1)[n + 1])
+    ring = b.base.ring.with_generators([("S", d), ("T", d)])
+    r1 = _twisted(b, ring, -ring.gen("S"), None, n + 1)[n + 1]
     r2 = ring.zero()
     for i in range(n + 1):
         sign = -1 if i % 2 else 1
         r2 = r2 + sign * _h_complete(ring, "S", "T", i) * b.w(n - i).poly.lift(ring)
-    rels.append(r2)
-    pres = Presentation(ring, rels, strategy, trunc)
+    trunc = b.base.truncation
+    pres = b.base.extend(ring, [r1, r2], None if trunc is None else trunc + (2 * n - 1) * d)
     e_alpha_tilde = pres.element(ring.gen("T") - ring.gen("S"))
     return pres, e_alpha_tilde
 
 
-def _grassmann_setup(b: BundleSpec, extra_gens: Sequence[tuple[str, int]]):
-    b = reduce_mod2(b)
+def _plane_relations(b: BundleSpec) -> tuple[PolyRing, list[Polynomial]]:
+    """The plane ring of an F2 spec and its relations p_n^xi, Z*p_(n-1)^xi + w_(n+1)."""
     n, d = b.n, b.d
-    budget = 2 * n * d + d + 1
-    ring, rels, _, truncation = _extend_presentation(
-        b.base, [("Y", d), ("Z", 2 * d)] + list(extra_gens), budget
-    )
-    if truncation is None:
-        top = b.base.top_degree()
-        if top is None:
-            raise BundleError("base has unbounded degrees; give it a truncation")
-        truncation = top + budget
+    ring = b.base.ring.with_generators([("Y", d), ("Z", 2 * d)])
     p_xi = _twisted(b, ring, ring.gen("Y"), ring.gen("Z"), n)
-    rels.append(p_xi[n])
-    rels.append(ring.gen("Z") * p_xi[n - 1] + b.w(n + 1).poly.lift(ring))
-    return b, ring, rels, truncation
+    return ring, [p_xi[n], ring.gen("Z") * p_xi[n - 1] + b.w(n + 1).poly.lift(ring)]
 
 
 def gaussian_binomial_two(m: int) -> list[int]:
@@ -341,48 +287,41 @@ def gaussian_binomial_two(m: int) -> list[int]:
     return coeffs
 
 
-def _plane_cells(b: BundleSpec) -> list[int]:
-    """Fibre cells of the plane bundle by degree: [n+1 choose 2]_q in q = t^d."""
-    cells: list[int] = []
-    for c in gaussian_binomial_two(b.n + 1):
-        cells += [c] + [0] * (b.d - 1)
-    return cells
-
-
 def grassmann_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
     """F2 cohomology of the bundle of 2-dimensional K-subspaces.
 
     Generators ``Y`` (degree d) and ``Z`` (degree 2d); relations
     ``p_n^xi(Y, Z)`` and ``Z * p_(n-1)^xi(Y, Z) + w_((n+1)d)``.  The quotient
-    is a free module over the base whose rank in each degree matches the
-    Gaussian binomial [n+1 choose 2]_q; the dimensions are checked degree by
-    degree.
+    is a free module over the base whose fibre cells are the Gaussian
+    binomial [n+1 choose 2]_q in q = t^d; that is checked degree by degree.
     """
-    b2, ring, rels, trunc = _grassmann_setup(b, [])
-    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, trunc)
-    verify_cell_dimensions(pres, b2.base, _plane_cells(b2), trunc, "plane-bundle ring")
+    b = reduce_mod2(b)
+    ring, rels = _plane_relations(b)
+    trunc = _degree_bound(b.base) + 2 * b.n * b.d + b.d + 1
+    pres = b.base.extend(ring, rels, trunc)
+    cells = [c for e in gaussian_binomial_two(b.n + 1) for c in [e] + [0] * (b.d - 1)]
+    verify_cell_dimensions(pres, b.base, cells, trunc, "plane-bundle ring")
     return pres, pres.element(ring.gen("Y")), pres.element(ring.gen("Z"))
 
 
-def feder_ring(b: BundleSpec) -> tuple[Presentation, Element, Element, Element]:
+def feder_ring(
+    b: BundleSpec, plane: Presentation
+) -> tuple[Presentation, Element, Element, Element]:
     """F2 cohomology of the space of unordered pairs of orthogonal lines.
 
-    Adds ``X`` of degree 1 (Euler class of the swap line bundle) to the plane
-    ring, with the extra relation ``X (X^d + Y)``.  The result is free over
-    the plane ring with basis ``1, X, ..., X^d``, hence free over the base
-    with fibre cells [n+1 choose 2]_(q^d) * (1 + q + ... + q^d); the
-    dimensions are checked degree by degree.  Returns ``(presentation,
-    e_lambda, e_alpha, w_d_beta)`` where ``e_lambda = X``, ``e_alpha = Y +
-    X^d`` and ``w_d_beta = Y``.
+    Adds ``X`` of degree 1 (Euler class of the swap line bundle) to ``plane``,
+    the plane ring :func:`grassmann_ring` returns for ``b``, with the relation
+    ``X (X^d + Y)``.  The result is free over the plane ring on ``1, X, ...,
+    X^d`` when its leads are the plane's and ``X^(d+1)``, which is checked.
+    Returns ``(presentation, e_lambda, e_alpha, w_d_beta)``: ``X``,
+    ``Y + X^d`` and ``Y``.
     """
-    b2, ring, rels, trunc = _grassmann_setup(b, [("X", 1)])
-    x = ring.gen("X")
-    rels.append(x ** (b2.d + 1) + x * ring.gen("Y"))
-    pres = Presentation(ring, rels, Strategy.GROEBNER_F2, trunc)
-    plane = _plane_cells(b2)
-    cells = [sum(plane[max(0, m - b2.d):m + 1]) for m in range(len(plane) + b2.d)]
-    verify_cell_dimensions(pres, b2.base, cells, trunc, "pair ring")
-    e_lambda = pres.element(x)
-    e_alpha = pres.element(ring.gen("Y") + x ** b2.d)
-    w_d_beta = pres.element(ring.gen("Y"))
-    return pres, e_lambda, e_alpha, w_d_beta
+    d = b.d
+    ring = plane.ring.with_generators([("X", 1)])
+    x, y = ring.gen("X"), ring.gen("Y")
+    pres = plane.extend(ring, [x ** (d + 1) + x * y], plane.truncation)
+    leads = {r.leading_exponents() for r in pres.relations}
+    if leads != {r.leading_exponents() + (0,) for r in plane.relations} | {
+            (0,) * plane.ring.ngens + (d + 1,)}:
+        raise ModuleBasisError("pair ring is not free over the plane ring on 1, X, ..., X^d")
+    return pres, pres.element(x), pres.element(y + x ** d), pres.element(y)

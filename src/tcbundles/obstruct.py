@@ -26,6 +26,7 @@ from .bundles import (
     BundleError,
     BundleSpec,
     KField,
+    _degree_bound,
     feder_ring,
     grassmann_ring,
     make_bundle,
@@ -37,7 +38,6 @@ from .polyalg import Coeffs, Polynomial
 from .ringquot import (
     Element,
     Presentation,
-    Strategy,
     free_presentation,
 )
 
@@ -145,7 +145,7 @@ def grassmann_of(b: BundleSpec) -> tuple[Presentation, Element, Element]:
 
 @lru_cache(maxsize=None)
 def feder_of(b: BundleSpec) -> tuple[Presentation, Element, Element, Element]:
-    return feder_ring(b)
+    return feder_ring(b, grassmann_of(b)[0])
 
 
 def _require_real_f2(b: BundleSpec, what: str) -> None:
@@ -223,16 +223,7 @@ def sphere_quotient_ring(b: BundleSpec) -> Presentation:
     wtop = b.w(b.rank)
     if wtop.is_zero():
         return b.base
-    trunc = b.base.truncation
-    if trunc is None:
-        top = b.base.top_degree()
-        if top is None:
-            raise BundleError(
-                "the quotient route needs a truncated or degreewise-finite base"
-            )
-        trunc = max(1, top)
-    rels = list(b.base.relations) + [wtop.poly]
-    return Presentation(b.base.ring, rels, Strategy.GROEBNER_F2, trunc)
+    return b.base.extend(b.base.ring, [wtop.poly], max(1, _degree_bound(b.base)))
 
 
 def sphere_powers(b: BundleSpec) -> Iterator[Element]:

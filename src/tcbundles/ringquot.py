@@ -31,6 +31,14 @@ A presentation may carry a ``truncation`` degree: every element of weighted
 degree above it is zero in the quotient.  The truncation is semantic, i.e. it
 is part of the ring being presented, not a computational shortcut.
 
+``Presentation.extend`` adjoins generators and relations to a completed
+presentation.  Its reduced basis and its truncation's minimal monomials that
+no lead divides are a Groebner basis of the extended ideal, so they enter the
+completion finished and are never paired with each other: each such S-pair
+would reduce to zero.  Only the new relations are reduced and paired; when
+each new lead is a pure power of a new generator, all their pairs have coprime
+leads and none is queued.
+
 Every monomial is packed into one int, the packed exponent vector of
 Bachmann and Schoenemann (ISSAC '98): exponent i fills field i of ``width``
 bits, generator n-1 most significant, and the weighted degree sits above the
@@ -79,7 +87,7 @@ from collections import Counter
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from itertools import count
-from operator import mul
+from operator import le, mul
 from typing import Iterator, Mapping, Sequence
 
 from .polyalg import Coeffs, ExpVec, PolyRing, Polynomial, RingMismatchError, power
@@ -151,22 +159,7 @@ class Presentation:
         strategy: Strategy,
         truncation: int | None = None,
     ):
-        rels = []
-        for r in relations:
-            if r.ring != ring:
-                raise PresentationError("relation lives in a different ring")
-            if r.is_zero():
-                continue
-            if not r.is_homogeneous():
-                raise PresentationError(f"relation {r} is not homogeneous")
-            rels.append(r)
-        if truncation is not None and (not isinstance(truncation, int) or truncation <= 0):
-            raise PresentationError("truncation must be a positive integer")
-        if strategy is Strategy.GROEBNER_F2:
-            if ring.coeffs is not Coeffs.F2:
-                raise PresentationError("GROEBNER_F2 requires F2 coefficients")
-            if truncation is None:
-                raise PresentationError("GROEBNER_F2 requires a truncation degree")
+        rels = _checked(ring, relations, strategy, truncation)
         self.ring = ring
         self.strategy = strategy
         self.truncation = truncation
@@ -189,6 +182,29 @@ class Presentation:
         benchmark harness, which also rebinds it by name to trace it.
         """
         return self
+
+    def extend(self, ring: PolyRing, relations: Sequence[Polynomial],
+               truncation: int | None) -> "Presentation":
+        """This ring with the generators of ``ring``, which holds all of its
+        own, and the homogeneous ``relations`` in ``ring`` adjoined.
+
+        Without a truncation this must be a monic tower, and so is the result;
+        with one, the result is an F2 presentation completed from this ring's
+        basis as it is, pairing and reducing only ``relations``.
+        """
+        known = [r.lift(ring) for r in self.relations]
+        if truncation is None and self.truncation is None:
+            return Presentation(ring, known + list(relations), self.strategy)
+        rels = _checked(ring, relations, Strategy.GROEBNER_F2, truncation)
+        if self.truncation is not None and truncation > self.truncation:
+            leads = [r.leading_exponents() for r in known]
+            indices = [ring.index(name) for name in self.ring.names]
+            monomials = _truncation_monomials(ring, indices, self.truncation)
+            known += [ring.monomial(m) for m in monomials
+                      if not any(all(map(le, lead, m)) for lead in leads)]
+        pres = Presentation(ring, (), Strategy.GROEBNER_F2, truncation)
+        pres.relations = _buchberger(ring, rels, truncation, known)  # before a cache reads it
+        return pres
 
     # -- normal forms ----------------------------------------------------------
 
@@ -363,7 +379,52 @@ def point_presentation(coeffs: Coeffs = Coeffs.F2) -> Presentation:
     return free_presentation(coeffs, ())
 
 
-# -- validation of towers ---------------------------------------------------------------
+# -- validation ----------------------------------------------------------------------------
+
+
+def _checked(ring: PolyRing, relations: Sequence[Polynomial], strategy: Strategy,
+             truncation: int | None) -> list[Polynomial]:
+    """The nonzero relations, once they, the truncation and the strategy check out."""
+    rels = []
+    for r in relations:
+        if r.ring != ring:
+            raise PresentationError("relation lives in a different ring")
+        if r.is_zero():
+            continue
+        if not r.is_homogeneous():
+            raise PresentationError(f"relation {r} is not homogeneous")
+        rels.append(r)
+    if truncation is not None and (not isinstance(truncation, int) or truncation <= 0):
+        raise PresentationError("truncation must be a positive integer")
+    if strategy is Strategy.GROEBNER_F2:
+        if ring.coeffs is not Coeffs.F2:
+            raise PresentationError("GROEBNER_F2 requires F2 coefficients")
+        if truncation is None:
+            raise PresentationError("GROEBNER_F2 requires a truncation degree")
+    return rels
+
+
+def _truncation_monomials(ring: PolyRing, indices: Sequence[int], bound: int) -> list[ExpVec]:
+    """Minimal monomials in the chosen generators of weighted degree > bound.
+
+    These generate the ideal of everything above the bound, so they encode a
+    semantic truncation as honest relations once new generators are adjoined.
+    """
+    out: list[ExpVec] = []
+
+    def rec(exps: list[int], pos: int, total: int) -> None:
+        if total > bound:  # minimal iff dropping any present generator lands at or below bound
+            if all(not exps[i] or total - ring.degrees[i] <= bound for i in indices):
+                out.append(tuple(exps))
+        elif pos < len(indices):
+            i = indices[pos]
+            for e in range((bound - total) // ring.degrees[i] + 2):
+                exps[i] = e
+                rec(exps, pos + 1, total + e * ring.degrees[i])
+            exps[i] = 0
+
+    rec([0] * ring.ngens, 0, 0)
+    return out
 
 
 def _tower_normalize(ring: PolyRing, relations: list[Polynomial]) -> list[Polynomial]:
@@ -451,9 +512,14 @@ def _reduce(
 
 
 def _buchberger(
-    ring: PolyRing, relations: Sequence[Polynomial], trunc: int
+    ring: PolyRing, relations: Sequence[Polynomial], trunc: int,
+    known: Sequence[Polynomial] = (),
 ) -> tuple[Polynomial, ...]:
     """Truncated Buchberger completion for homogeneous F2 ideals.
+
+    ``known`` is a Groebner basis up to the truncation in which no lead
+    divides another.  Its elements up to the truncation enter first, as
+    they are, and are never paired with each other (``Presentation.extend``).
 
     Monomials are packed at the width of the truncation; terms above it are
     dropped from the relations on entry.  Each S-pair is keyed once, when it
@@ -481,11 +547,11 @@ def _buchberger(
     pairs: list[tuple[int, int, int, int, int]] = []
     created = count()
 
-    def add(reduced: dict[int, int]) -> None:
-        lead, tail = element = _lead_and_tail(reduced)
+    def add(element: _BasisElement, paired: bool) -> None:
+        lead, tail = element
         exps = _unpack(lead, n, width)
         gens = sum(1 << i for i, x in enumerate(exps) if x)
-        for k, (other, other_tail) in enumerate(basis):
+        for k, (other, other_tail) in enumerate(basis if paired else ()):
             if ((other | guard) - lead) & guard == guard:
                 redundant.add(k)
             if not tail and not other_tail:
@@ -500,11 +566,14 @@ def _buchberger(
         basis.append(element)
         leads.append((exps, gens))
 
+    for r in known:
+        if r.degree() <= trunc:
+            add(_lead_and_tail({_pack(e, width, degrees): 1 for e in r._terms}), False)
     for r in relations:
         packed = (_pack(e, width, degrees) for e in r._terms)
         reduced = _reduce({m: 1 for m in packed if m < limit}, basis, guard, True)
         if reduced:
-            add(reduced)
+            add(_lead_and_tail(reduced), True)
     while pairs:
         _, _, lcm, i, j = heappop(pairs)
         # the two leads both shift to lcm and cancel; _reduce takes the
@@ -513,7 +582,7 @@ def _buchberger(
                         for lead, tail in (basis[i], basis[j]) for e, _ in tail)
         reduced = _reduce(spoly, basis, guard, True)
         if reduced:
-            add(reduced)
+            add(_lead_and_tail(reduced), True)
 
     # no two leads are equal, so the elements sort by lead: graded-lex order
     minimal = sorted(el for k, el in enumerate(basis) if k not in redundant)

@@ -15,6 +15,7 @@ bit.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from tcbundles import Coeffs, Polynomial, PolyRing
@@ -67,72 +68,56 @@ def monomials_of_degree(ring: PolyRing, degree: int) -> list[tuple]:
     return found
 
 
-def f2_ideal_member(ring: PolyRing, relations: list[Polynomial],
-                    p: Polynomial) -> bool:
-    """Is the homogeneous ``p`` in the ideal generated by ``relations``?
+def _ideal_piece(ring: PolyRing, relations: list[Polynomial],
+                 degree: int) -> tuple[dict, dict[int, int]]:
+    """The monomials of one degree, indexed, and an echelon basis of the
+    ideal's piece in that degree, keyed by each row's highest monomial.
 
-    Spans the ideal's degree piece by multiplying each relation with every
-    monomial of the complementary degree, then row-reduces.
+    Spans the piece by multiplying each relation with every monomial of the
+    complementary degree, then row-reduces the products.
     """
-    if p.is_zero():
-        return True
-    degree = p.degree()
     index = {m: i for i, m in enumerate(monomials_of_degree(ring, degree))}
-
-    def vec(terms: dict) -> int:
-        v = 0
-        for e, c in terms.items():
-            if c % 2 == 1:
-                v ^= 1 << index[e]
-        return v
-
-    rows: list[int] = []
+    pivots: dict[int, int] = {}
     for r in relations:
         shift = degree - r.degree()
         if shift < 0:
             continue
         for m in monomials_of_degree(ring, shift):
-            prod = naive_mul_terms({m: 1}, r.terms, True)
-            rows.append(vec(prod))
-    target = vec(p.terms)
-    for row in rows:
-        if row == 0:
-            continue
-        pivot = row.bit_length() - 1
-        if target >> pivot & 1:
-            target ^= row
-        for j in range(len(rows)):
-            if rows[j] != row and rows[j] >> pivot & 1:
-                rows[j] ^= row
-    return target == 0
+            row = 0
+            for e, c in naive_mul_terms({m: 1}, r.terms, True).items():
+                row ^= 1 << index[e]
+            while row:
+                top = row.bit_length() - 1
+                if top not in pivots:
+                    pivots[top] = row
+                    break
+                row ^= pivots[top]
+    return index, pivots
+
+
+def f2_ideal_member(ring: PolyRing, relations: list[Polynomial],
+                    p: Polynomial) -> bool:
+    """Is the homogeneous ``p`` in the ideal generated by ``relations``?"""
+    if p.is_zero():
+        return True
+    index, pivots = _ideal_piece(ring, relations, p.degree())
+    target = 0
+    for e, c in p.terms.items():
+        if c % 2 == 1:
+            target ^= 1 << index[e]
+    while target:
+        top = target.bit_length() - 1
+        if top not in pivots:
+            return False
+        target ^= pivots[top]
+    return True
 
 
 def f2_quotient_dimension(ring: PolyRing, relations: list[Polynomial],
                           degree: int) -> int:
     """dim of (free ring / ideal) in one degree, by rank over F2."""
-    index = {m: i for i, m in enumerate(monomials_of_degree(ring, degree))}
-    rows: list[int] = []
-    for r in relations:
-        shift = degree - r.degree()
-        if shift < 0:
-            continue
-        for m in monomials_of_degree(ring, shift):
-            prod = naive_mul_terms({m: 1}, r.terms, True)
-            v = 0
-            for e, c in prod.items():
-                v ^= 1 << index[e]
-            rows.append(v)
-    rank = 0
-    for i in range(len(rows)):
-        row = rows[i]
-        if row == 0:
-            continue
-        rank += 1
-        pivot = row.bit_length() - 1
-        for j in range(len(rows)):
-            if j != i and rows[j] >> pivot & 1:
-                rows[j] ^= row
-    return len(index) - rank
+    index, pivots = _ideal_piece(ring, relations, degree)
+    return len(index) - len(pivots)
 
 
 # -- standard monomials by enumeration ----------------------------------------------
@@ -148,6 +133,17 @@ def standard_monomials(pres, degree: int) -> list[tuple]:
            if not any(all(x <= y for x, y in zip(lead, m)) for lead in leads)]
     out.sort(key=pres.ring.order_key)
     return out
+
+
+# -- plane polynomials in closed form ----------------------------------------------
+
+
+def p_closed_form(ring: PolyRing, i: int) -> Polynomial:
+    """p_i = sum_j binom(i-j, j) Y^(i-2j) Z^j, an independent derivation of
+    p_(i+1) = Y*p_i + Z*p_(i-1) with p_0 = 1, p_1 = Y."""
+    y, z = ring.gen("Y"), ring.gen("Z")
+    terms = (math.comb(i - j, j) * y ** (i - 2 * j) * z ** j for j in range(i // 2 + 1))
+    return sum(terms, ring.zero())
 
 
 # -- Gaussian binomial by power series --------------------------------------------

@@ -1,7 +1,7 @@
 """Bundle ring constructors: projective, ordered pairs, planes, unordered pairs."""
 
-import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,11 +27,17 @@ from tcbundles import (
     reduce_mod2,
     trivial_bundle,
 )
-from tcbundles.bundles import _grassmann_setup, _twisted
+from tcbundles import ringquot
+from tcbundles.bundles import _plane_relations, _twisted
+from tcbundles.cli import parse_spec_file
 from tcbundles.obstruct import q_tilde_of
+from tcbundles.ringquot import ModuleBasisError, verify_cell_dimensions
 
-from oracles import gaussian_binomial_series
+from oracles import gaussian_binomial_series, p_closed_form
 from oracles import monomials_of_degree as _monomials_of_degree
+from test_obstruct import random_real_bundle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def rp_base(m: int) -> Presentation:
@@ -285,13 +291,6 @@ def p_polynomials(coeffs: Coeffs) -> tuple[PolyRing, list[Polynomial]]:
     return ring, _twisted(zero_classes, ring, ring.gen("Y"), ring.gen("Z"), 8)
 
 
-def p_closed_form(ring: PolyRing, i: int) -> Polynomial:
-    """p_i = sum_j binom(i-j, j) Y^(i-2j) Z^j, an independent derivation."""
-    y, z = ring.gen("Y"), ring.gen("Z")
-    terms = (math.comb(i - j, j) * y ** (i - 2 * j) * z ** j for j in range(i // 2 + 1))
-    return sum(terms, ring.zero())
-
-
 def test_p_polynomials_small_f2():
     ring, p = p_polynomials(Coeffs.F2)
     assert p[0] == ring.one()
@@ -317,9 +316,9 @@ def test_p_polynomial_closed_form():
 def test_p_xi_reduces_to_p_for_zero_classes():
     # with every class zero the plane relations are p_n and Z*p_(n-1)
     for rank in (2, 3, 4, 5):
-        _, ring, rels, _ = _grassmann_setup(trivial_bundle(KField.R, rank), [])
+        ring, rels = _plane_relations(trivial_bundle(KField.R, rank))
         p = [p_closed_form(ring, i) for i in range(rank)]
-        assert rels[-2:] == [p[rank - 1], ring.gen("Z") * p[rank - 2]]
+        assert rels == [p[rank - 1], ring.gen("Z") * p[rank - 2]]
 
 
 def test_p_xi_recursion_identity():
@@ -331,15 +330,15 @@ def test_p_xi_recursion_identity():
         base = Presentation(PolyRing(Coeffs.F2, gens), [], Strategy.GROEBNER_F2,
                             n + 1).complete()
         b = make_bundle(KField.R, n + 1, base, {i: f"w{i}" for i in range(1, n + 2)})
-        _, ring, rels, _ = _grassmann_setup(b, [])
+        ring, rels = _plane_relations(b)
         p = [p_closed_form(ring, i) for i in range(n + 2)]
         lifted = [ring.one()] + [ring.gen(f"w{i}") for i in range(1, n + 2)]
 
         def p_xi(i):
             return sum((p[i - j] * lifted[j] for j in range(i + 1)), ring.zero())
 
-        assert rels[-2] == p_xi(n)
-        assert ring.gen("Y") * rels[-2] + rels[-1] == p_xi(n + 1)
+        assert rels[0] == p_xi(n)
+        assert ring.gen("Y") * rels[0] + rels[1] == p_xi(n + 1)
 
 
 # -- planes rings ------------------------------------------------------------------
@@ -403,7 +402,7 @@ def test_grassmann_quaternionic_degrees():
 
 def test_feder_point_small():
     b = trivial_bundle(KField.R, 2)
-    pres, e_lambda, e_alpha, w_d_beta = feder_ring(b)
+    pres, e_lambda, e_alpha, w_d_beta = feder_ring(b, grassmann_ring(b)[0])
     total = sum(pres.dimension(m) for m in range(0, (pres.truncation or 0) + 1))
     assert total == 2  # same total rank as lines in R^2
     assert e_lambda == pres.element("X")
@@ -414,27 +413,84 @@ def test_feder_point_small():
 def test_feder_x_relation():
     for rank in (2, 3, 4):
         b = trivial_bundle(KField.R, rank)
-        pres, e_lambda, e_alpha, w_d_beta = feder_ring(b)
+        pres, e_lambda, e_alpha, w_d_beta = feder_ring(b, grassmann_ring(b)[0])
         d = b.d
         assert (e_lambda * (e_lambda ** d + w_d_beta)).is_zero()
 
 
+def feder_cells(b: BundleSpec) -> list[int]:
+    """Fibre cells of the unordered-pairs ring over the base by degree:
+    [n+1 choose 2]_(q^d) * (1 + q + ... + q^d)."""
+    plane = [c for e in gaussian_binomial_two(b.n + 1) for c in [e] + [0] * (b.d - 1)]
+    return [sum(plane[max(0, m - b.d):m + 1]) for m in range(len(plane) + b.d)]
+
+
 def test_feder_free_over_planes_basis():
-    # feder_ring checks the free-module dimensions; run it on a nontrivial base
+    # the free-module dimensions over the base, on a nontrivial base
     m, n = 2, 1
     base = rp_base(m)
     b = make_bundle(KField.R, n + 1, base, {1: "x"})
-    pres, e_lambda, e_alpha, w_d_beta = feder_ring(b)
+    pres, e_lambda, e_alpha, w_d_beta = feder_ring(b, grassmann_ring(b)[0])
+    verify_cell_dimensions(pres, base, feder_cells(b), pres.truncation, "pair ring")
     assert e_alpha == e_lambda ** b.d + pres.element(
         w_d_beta.poly
     )  # Y = e(alpha) + e(lambda)^d rearranged
     assert not e_alpha.is_zero()
 
 
+def feder_panel() -> dict[str, BundleSpec]:
+    """The bundles of the six golden specs and twelve random truncated ones."""
+    rng = random.Random(31)
+    specs = sorted(p for d in ("specs", "tests/specs") for p in (ROOT / d).glob("*.spec"))
+    panel = {p.stem: parse_spec_file(str(p)).bundle for p in specs}
+    panel.update((f"random{i}", random_real_bundle(rng, 3)) for i in range(12))
+    return panel
+
+
+FEDER_PANEL = feder_panel()
+
+
+@pytest.mark.parametrize("name", FEDER_PANEL)
+def test_feder_walk_counts_the_plane_cells_times_the_x_powers(name):
+    # feder_ring checks its leads; the standard-monomial walk confirms the
+    # dimensions those leads imply
+    b = FEDER_PANEL[name]
+    pres = feder_ring(b, grassmann_ring(b)[0])[0]
+    verify_cell_dimensions(pres, reduce_mod2(b).base, feder_cells(b), pres.truncation,
+                           "pair ring")
+
+
+def test_feder_raises_unless_its_leads_are_the_planes_and_x_power(monkeypatch):
+    b = generic_truncated_bundle(2, 4)
+    plane = grassmann_ring(b)[0]
+
+    def extend_without_the_base(self, ring, relations, truncation):
+        return Presentation(ring, relations, Strategy.GROEBNER_F2, truncation)
+
+    monkeypatch.setattr(Presentation, "extend", extend_without_the_base)
+    with pytest.raises(ModuleBasisError, match="not free over the plane ring"):
+        feder_ring(b, plane)
+
+
+@pytest.mark.parametrize("name", [n for n in FEDER_PANEL if not n.startswith("random")]
+                         + ["random0"])
+def test_feder_extends_the_completed_plane_without_pairs(monkeypatch, name):
+    b = FEDER_PANEL[name]
+    plane = grassmann_ring(b)[0]
+    calls = []
+    reduce = ringquot._reduce
+    monkeypatch.setattr(ringquot, "_reduce", lambda *args: calls.append(1) or reduce(*args))
+    pres = feder_ring(b, plane)[0]
+    # X^(d+1) + X*Y reduced once on entry, each tail once at the end and the
+    # three returned classes: no S-pair, and the plane is not completed again
+    assert len(calls) == 1 + len(pres.relations) + 3
+
+
 def test_feder_complex_bundle_reduces_mod_two():
     # any field is accepted; coefficients drop to F2 and e(alpha) sits in
     # degree d
-    pres, e_lambda, e_alpha, _ = feder_ring(trivial_bundle(KField.C, 3))
+    b = trivial_bundle(KField.C, 3)
+    pres, e_lambda, e_alpha, _ = feder_ring(b, grassmann_ring(b)[0])
     assert pres.ring.coeffs is Coeffs.F2
     assert e_lambda.degree() == 1
     assert e_alpha.degree() == 2

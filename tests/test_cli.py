@@ -12,7 +12,7 @@ import tcbundles
 from tcbundles import Coeffs, KField, PolyRing, render_polynomial
 from tcbundles.cli import main, parse_spec_file, run_criteria
 from tcbundles.geomplan import MAX_SAMPLE_COORDINATES
-from tcbundles import bundles
+from tcbundles import bundles, obstruct
 from tcbundles.obstruct import (feder_of, grassmann_of, projective_of, q_tilde_of,
                                 sphere_quotient_ring)
 from tcbundles.ringquot import ModuleBasisError, Presentation
@@ -455,6 +455,17 @@ def test_failed_freeness_check_is_a_check_failure(monkeypatch, capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("check failure: ") and "fails freeness at degree 0" in err
+
+
+def test_criteria_completes_the_plane_ring_once(monkeypatch):
+    # the unordered-pairs ring extends the cached plane ring
+    calls = []
+    real = obstruct.grassmann_ring
+    monkeypatch.setattr(obstruct, "grassmann_ring", lambda b: calls.append(b) or real(b))
+    for cached in (projective_of, q_tilde_of, grassmann_of, feder_of, sphere_quotient_ring):
+        cached.cache_clear()
+    run_criteria(parse_spec_file(str(ROOT / "tests/specs/truncated_r4_t12.spec")))
+    assert len(calls) == 1
 
 
 # -- planner subcommand ----------------------------------------------------------------

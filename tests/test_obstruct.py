@@ -20,6 +20,7 @@ from tcbundles import (
     InternalDisagreementError,
     default_k_max,
     euler_power_x_coordinates,
+    free_presentation,
     gysin_equivalence_check,
     make_bundle,
     point_sphere_table,
@@ -181,6 +182,13 @@ def test_sphere_quotient_is_base_mod_top_class():
     image = quotient.element(b.w(2).poly)
     assert image.is_zero()
     assert not quotient.element("x").is_zero()
+
+
+def test_sphere_quotient_needs_a_bounded_base():
+    base = free_presentation(Coeffs.F2, [("x", 1)])
+    b = make_bundle(KField.R, 2, base, {1: "x", 2: "x^2"})
+    with pytest.raises(BundleError, match="^base has unbounded degrees; give it a truncation$"):
+        sphere_quotient_ring(b)
 
 
 # -- symmetrized sphere ---------------------------------------------------------------

@@ -18,8 +18,14 @@ from tcbundles import (
     free_presentation,
     point_presentation,
 )
-from tcbundles.bundles import _truncation_monomials
-from tcbundles.ringquot import _guard, _pack, _unpack, _width, verify_cell_dimensions
+from tcbundles.ringquot import (
+    _guard,
+    _pack,
+    _truncation_monomials,
+    _unpack,
+    _width,
+    verify_cell_dimensions,
+)
 
 from oracles import f2_ideal_member, f2_quotient_dimension, tower_normal_form
 from oracles import monomials_of_degree as _monomials_of_degree
@@ -436,12 +442,13 @@ def test_random_monomial_relations_complete_to_their_minimal_generators(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_truncated_base_with_a_fibre_relation_matches_sympy_and_oracles(seed):
-    # the shape _extend_presentation builds: the monomials above the base
-    # truncation in a and b, and a monic fibre relation in t of rank r
+    # the raw relations of a projective ring over a truncated base: the
+    # monomials above the base truncation in a and b, and a monic fibre
+    # relation in t of rank r
     rng = random.Random(seed)
     ring = PolyRing(Coeffs.F2, [("a", 1), ("b", 1), ("t", 1)])
     bound, rank = rng.randint(2, 3), rng.randint(2, 3)
-    rels = _truncation_monomials(ring, [0, 1], bound)
+    rels = [ring.monomial(m) for m in _truncation_monomials(ring, [0, 1], bound)]
     fibre = ring.monomial((0, 0, rank))
     for i in range(1, rank + 1):
         base_monos = _monomials_of_degree(PolyRing(Coeffs.F2, [("a", 1), ("b", 1)]), i)
@@ -454,6 +461,55 @@ def test_truncated_base_with_a_fibre_relation_matches_sympy_and_oracles(seed):
     for m in range(top + 1):
         assert pres.dimension(m) == f2_quotient_dimension(ring, rels, m), m
     assert all(f2_ideal_member(ring, rels, r) for r in pres.relations)
+
+
+# -- extending a completed presentation ---------------------------------------------
+
+
+def random_relation(rng: random.Random, ring: PolyRing, degree: int) -> Polynomial:
+    return Polynomial(ring, {m: 1 for m in _monomials_of_degree(ring, degree)
+                             if rng.random() < 0.5})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_extend_equals_completing_the_raw_relations(seed):
+    # new relations of any shape, in the new generator or in the base's own:
+    # the completion that starts from the base's basis gives the same ring as
+    # completing the base's raw relations, its truncation's monomials and the
+    # new relations from scratch
+    rng = random.Random(seed)
+    base_ring = PolyRing(Coeffs.F2, [("a", 1), ("b", rng.choice((1, 2)))])
+    bound = rng.randint(2, 5)
+    raw = [random_relation(rng, base_ring, rng.randint(2, bound))
+           for _ in range(rng.randint(0, 2))]
+    base = Presentation(base_ring, raw, Strategy.GROEBNER_F2, bound)
+    ring = base_ring.with_generators([("t", rng.choice((1, 2)))])
+    top = bound + rng.randint(0, 3)
+    new = [random_relation(rng, ring, rng.randint(1, top)) for _ in range(rng.randint(1, 3))]
+    lifted = [r.lift(ring) for r in raw] + [
+        ring.monomial(m) for m in _truncation_monomials(ring, [0, 1], bound)]
+    want = Presentation(ring, lifted + new, Strategy.GROEBNER_F2, top)
+    assert base.extend(ring, new, top) == want
+
+
+def test_extend_leaves_out_base_relations_above_the_truncation():
+    ring = PolyRing(Coeffs.F2, [("x", 1), ("y", 2)])
+    base = Presentation(ring, [ring.parse("x^2"), ring.parse("y^2")], Strategy.MONIC_TOWER)
+    quotient = base.extend(ring, [ring.parse("x*y")], 3)
+    assert quotient.relations == (ring.parse("x^2"), ring.parse("x*y"))
+    assert quotient.strategy is Strategy.GROEBNER_F2
+
+
+def test_untruncated_extension_stays_a_tower():
+    base = milnor_ring(2)
+    ring = base.ring.with_generators([("u", 1)])
+    pres = base.extend(ring, [ring.parse("u^2 + S*u")], None)
+    assert pres == Presentation(ring, [r.lift(ring) for r in base.relations]
+                                + [ring.parse("u^2 + S*u")], Strategy.MONIC_TOWER)
+    truncated_tower = Presentation(base.ring, base.relations, Strategy.MONIC_TOWER, 4)
+    for truncated in (planes_of_r3(), truncated_tower):
+        with pytest.raises(PresentationError, match="requires a truncation degree"):
+            truncated.extend(truncated.ring, [], None)
 
 
 # -- mixed-degree completion against the linear-algebra oracles ---------------------
