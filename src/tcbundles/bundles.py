@@ -186,13 +186,10 @@ def reduce_mod2(b: BundleSpec) -> BundleSpec:
 
 
 def _degree_bound(base: Presentation) -> int:
-    """The degree bound of a derived ring's base: its truncation, else its top degree."""
-    if base.truncation is not None:
-        return base.truncation
-    top = base.top_degree()
-    if top is None:
+    """The degree bound of a derived ring's base."""
+    if base.degree_bound is None:
         raise BundleError("base has unbounded degrees; give it a truncation")
-    return top
+    return base.degree_bound
 
 
 def _twisted(b: BundleSpec, ring: PolyRing, y: Polynomial, z: Polynomial | None,

@@ -25,16 +25,13 @@ from .bundles import BundleError, BundleSpec, GeometryError, KField, make_bundle
 from .obstruct import (
     InternalDisagreementError,
     NotFoundUpTo,
+    criteria_table,
     default_k_max,
     feder_of,
     first_vanishing,
     grassmann_of,
-    powers,
     projective_of,
     q_tilde_of,
-    sphere_powers,
-    symm_proj_powers,
-    symm_sphere_powers,
 )
 from .polyalg import (
     Coeffs,
@@ -265,18 +262,9 @@ def _search_bound(spec: ParsedSpec, k_max: int | None) -> int:
 
 
 def run_criteria(spec: ParsedSpec, k_max: int | None = None) -> list[CriterionResult]:
-    b = spec.bundle
     k_max = _search_bound(spec, k_max)
-    searches = []
-    if b.field is KField.R:
-        searches += [("sphere_divisibility", sphere_powers(b)),
-                     ("symm_sphere", symm_sphere_powers(b))]
-    if b.base.ring.coeffs is Coeffs.INT:
-        searches.append(("proj_pair_z", powers(q_tilde_of(b, Coeffs.INT)[1])))
-    searches += [("proj_pair_f2", powers(q_tilde_of(b, Coeffs.F2)[1])),
-                 ("symm_proj", symm_proj_powers(b))]
     results = []
-    for name, seq in searches:
+    for name, seq, _ in criteria_table(spec.bundle):
         min_k, witness = first_vanishing(seq, k_max)
         rendered = None if witness is None else render_polynomial(witness.poly)
         results.append(CriterionResult(name, min_k, rendered))

@@ -9,7 +9,8 @@ the same verdict (degreewise linear algebra, long division in t, a
 module-basis reduction), that route advances in lockstep and the first
 mismatch raises :class:`InternalDisagreementError` rather than returning.
 :func:`first_vanishing` reads the least vanishing power and its witness off
-a sequence.  Four per-k tests answer for one k:
+:func:`criteria_table` lists the sequence and Euler class of every
+criterion that applies to a bundle.  Four per-k tests answer for one k:
 :func:`sphere_divisibility_test` runs the divisibility route alone, and
 :func:`gysin_equivalence_check`, :func:`symm_sphere_test` and
 :func:`symm_proj_test` read the k-th term of a checked sequence.
@@ -377,6 +378,23 @@ def symm_proj_test(b: BundleSpec, k: int) -> bool:
     raises if the two verdicts differ.
     """
     return _term(symm_proj_powers(b), k).is_zero()
+
+
+def criteria_table(b: BundleSpec) -> list[tuple[str, Iterator[Element], Element]]:
+    """Name, checked power sequence and Euler class of every criterion that
+    applies to ``b``, in report order; each class is the one its sequence
+    powers, from the same cached ring."""
+    table = []
+    if b.field is KField.R:
+        table += [("sphere_divisibility", sphere_powers(b),
+                   sphere_quotient_ring(b).element(b.w(b.n).poly)),
+                  ("symm_sphere", symm_sphere_powers(b), projective_of(b)[1])]
+    pairs = [("proj_pair_z", Coeffs.INT)] if b.base.ring.coeffs is Coeffs.INT else []
+    for name, coeffs in pairs + [("proj_pair_f2", Coeffs.F2)]:
+        e = q_tilde_of(b, coeffs)[1]
+        table.append((name, powers(e), e))
+    table.append(("symm_proj", symm_proj_powers(b), feder_of(b)[2]))
+    return table
 
 
 # -- the integral point-sphere table ------------------------------------------------

@@ -49,25 +49,27 @@ With G the mask of guard bits, a lead l divides m exactly when
 m_i + 2^(width-1) - l_i, which lies in [0, 2^width), so no field borrows
 from the next, and it keeps its guard bit just when m_i >= l_i.  The degree
 field takes no part in the test.  The quotient is ``m - l`` and a product is
-``m + l``, degree field included.  An exponent is at most the degree of its
-monomial, so the width holds the truncation degree or, on an untruncated
-ring, the largest degree an operation can produce.  The exponents of two
-factors below 2^(width-1) sum below 2^width, so a product never carries
-into the next field, even above the truncation, and with
-``limit = (truncation + 1) << (n * width)`` the truncation test of a
-product is the single compare ``m < limit``.  Packing a vector whose
-exponents overflow their fields only sets more bits, so it too lands at or
-above the limit when its degree is above the truncation.
+``m + l``, degree field included.
+
+Each presentation packs at one width, that of its degree bound: the
+truncation, else, when every generator g has a relation g^m + ..., the
+corner sum of (m - 1) deg g of the tower's box of standard monomials, above
+which the quotient is zero.  An exponent is at most the degree of its
+monomial, so that width holds them all.  A ring with a free generator packs
+at the width of the cap 2^62 instead, and an element, product or walk that
+reaches the cap raises ``PresentationError``.  Two exponents below
+2^(width-1) sum below 2^width, so a product never carries into the next
+field, even above the bound, and with ``limit = (bound + 1) << (n * width)``
+one compare ``m < limit`` drops a term above the bound.  Packing a vector
+whose exponents overflow their fields only sets more bits, so it too lands
+at or above the limit when its degree is above the bound.
 
 Elements stay packed: an ``Element`` holds its normal form as a map from
-packed monomials to coefficients.  A product is a packed convolution
-followed by ``_reduce``; a sum or difference merges the maps, as a sum of
-normal forms is a normal form.  A truncated presentation packs at the one
-width of its truncation.  On an untruncated one an operation repacks its
-operands to the width its result's degree needs, which grows only
-logarithmically along a power sequence.  A ``Polynomial`` is built only
-when ``Element.poly`` is read.  Each presentation caches its basis packed
-at every width it has used.
+packed monomials to coefficients, at its presentation's width.  A product
+is a packed convolution followed by ``_reduce``; a sum or difference merges
+the maps, as a sum of normal forms is a normal form.  A ``Polynomial`` is
+built only when ``Element.poly`` is read.  Each presentation packs its
+basis once, on first use.
 
 Dimensions are counted on the standard monomials, those that no lead of the
 basis divides; they form a basis of the quotient in each degree.
@@ -133,13 +135,8 @@ def _unpack(m: int, n: int, width: int) -> ExpVec:
     return tuple([(m >> (i * width)) & mask for i in range(n)])
 
 
-def _widen(m: int, n: int, width: int, wider: int) -> int:
-    """Repack m from fields of ``width`` bits to fields of ``wider`` bits."""
-    mask = (1 << width) - 1
-    out = m >> (n * width)
-    for i in range(n - 1, -1, -1):
-        out = (out << wider) | ((m >> (i * width)) & mask)
-    return out
+# A presentation without a degree bound holds degrees below this cap
+_CAP = 1 << 62
 
 
 class Presentation:
@@ -148,9 +145,12 @@ class Presentation:
     Instances are immutable.  The constructor validates the relations and
     completes them: a monic tower is stored with leading coefficients +1, an
     F2 presentation as its reduced Groebner basis up to the truncation.
+    ``degree_bound`` is the degree above which the quotient is zero, or None
+    when a generator has no relation.
     """
 
-    __slots__ = ("ring", "relations", "strategy", "truncation", "_packs", "_dims", "_hash")
+    __slots__ = ("ring", "relations", "strategy", "truncation", "degree_bound",
+                 "_width", "_limit", "_basis", "_dims", "_hash")
 
     def __init__(
         self,
@@ -167,8 +167,15 @@ class Presentation:
             self.relations = tuple(_tower_normalize(ring, rels))
         else:
             self.relations = _buchberger(ring, rels, truncation)
-        # width -> (guard bits, packed basis), filled by ``_packed``
-        self._packs: dict[int, tuple[int, tuple[_BasisElement, ...]]] = {}
+        self.degree_bound: int | None = truncation
+        if truncation is None and len(self.relations) == ring.ngens:  # a tower's box corner
+            self.degree_bound = sum((m - 1) * d for r in self.relations
+                                    for m, d in zip(r.leading_exponents(), ring.degrees) if m)
+        top = _CAP - 1 if self.degree_bound is None else self.degree_bound
+        self._width = _width(top)
+        self._limit = (top + 1) << (ring.ngens * self._width)
+        # (guard bits, packed basis), filled by ``_packed``
+        self._basis: tuple[int, tuple[_BasisElement, ...]] | None = None
         # dimensions in degrees 0, 1, ..., filled by ``dimensions``
         self._dims: list[int] | None = None
         self._hash: int | None = None
@@ -212,27 +219,26 @@ class Presentation:
         """The normal form of ``p``, unpacked."""
         return self.element(p).poly
 
-    def _width_for(self, top: int) -> int:
-        """Field width for monomials of degree <= top; a truncated
-        presentation packs everything at the width of its truncation."""
-        return _width(top if self.truncation is None else self.truncation)
+    def _packed(self) -> tuple[int, tuple["_BasisElement", ...]]:
+        """Guard bits and packed basis, packed on first use.  Elements above
+        the degree bound are left out: their leads divide nothing kept."""
+        if self._basis is None:
+            width, degrees = self._width, self.ring.degrees
+            packed = ({_pack(e, width, degrees): c for e, c in r._terms.items()}
+                      for r in self.relations)
+            self._basis = (_guard(self.ring.ngens, width),
+                           tuple(_lead_and_tail(p) for p in packed if max(p) < self._limit))
+        return self._basis
 
-    def _packed(self, width: int) -> tuple[int, tuple["_BasisElement", ...]]:
-        """Guard bits and basis packed at ``width``, cached per width.
-        Elements of a degree the width does not hold are left out: their
-        leads divide nothing it holds."""
-        if width not in self._packs:
-            degrees = self.ring.degrees
-            self._packs[width] = (_guard(self.ring.ngens, width), tuple(
-                _lead_and_tail({_pack(e, width, degrees): c for e, c in r._terms.items()})
-                for r in self.relations if r.degree() < 1 << width - 1))
-        return self._packs[width]
+    def _reduced(self, work: dict[int, int]) -> "Element":
+        """The element of a packed polynomial (consumed)."""
+        guard, basis = self._packed()
+        return Element(self, _reduce(work, basis, guard, self.ring.coeffs is Coeffs.F2))
 
-    def _reduced(self, work: dict[int, int], width: int) -> "Element":
-        """The element of a packed polynomial (consumed) at ``width``."""
-        guard, basis = self._packed(width)
-        return Element(self, _reduce(work, basis, guard, self.ring.coeffs is Coeffs.F2),
-                       width)
+    def _check_cap(self, degree: int) -> None:
+        """Raise if a ring without a degree bound meets a degree its packing cannot hold."""
+        if self.degree_bound is None and degree >= _CAP:
+            raise PresentationError(f"degree {degree} reaches the cap 2^62 of an unbounded ring")
 
     def element(self, p: "Polynomial | str | int") -> "Element":
         if isinstance(p, str):
@@ -241,16 +247,14 @@ class Presentation:
             p = self.ring.const(p)
         if p.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
-        top = p.degree() if self.truncation is None else self.truncation
-        width = _width(top)
-        limit = (top + 1) << (self.ring.ngens * width)
-        degrees = self.ring.degrees
+        self._check_cap(p.degree())
+        width, limit, degrees = self._width, self._limit, self.ring.degrees
         work = {}
         for e, c in p._terms.items():
             m = _pack(e, width, degrees)
-            if m < limit:  # rewrites keep degrees: terms above the truncation stay zero
+            if m < limit:  # rewrites keep degrees: terms above the bound stay zero
                 work[m] = c
-        return self._reduced(work, width)
+        return self._reduced(work)
 
     def zero(self) -> "Element":
         return self.element(0)
@@ -264,13 +268,14 @@ class Presentation:
         """Dimensions of the graded pieces in degrees 0..top.
 
         The counts come from one walk of the standard monomials up to
-        ``min(top, truncation)`` (see ``_walk``) and are cached on the
+        ``min(top, degree_bound)`` (see ``_walk``) and are cached on the
         instance; a later call with a smaller ``top`` reads a prefix of them.
-        Degrees above the truncation have dimension 0.
+        Degrees above the bound have dimension 0.
         """
         if top < 0:
             return []
-        reach = top if self.truncation is None else min(top, self.truncation)
+        self._check_cap(top)
+        reach = top if self.degree_bound is None else min(top, self.degree_bound)
         if self._dims is None or len(self._dims) <= reach:
             dims = [0] * (reach + 1)
             for _, degree in self._walk(reach):
@@ -284,15 +289,16 @@ class Presentation:
 
         Walks the standard monomials up to ``degree`` and keeps that degree.
         """
-        if degree < 0 or (self.truncation is not None and degree > self.truncation):
+        if degree < 0 or (self.degree_bound is not None and degree > self.degree_bound):
             return []
-        width, n = self._width_for(degree), self.ring.ngens
+        self._check_cap(degree)
+        width, n = self._width, self.ring.ngens
         return [_unpack(m, n, width)
                 for m in sorted(m for m, d in self._walk(degree) if d == degree)]
 
     def _walk(self, top: int) -> Iterator[tuple[int, int]]:
-        """Every standard monomial of weighted degree <= top, packed at
-        ``_width_for(top)``, with its degree.
+        """Every standard monomial of weighted degree <= top, packed, with
+        its degree; ``top`` is at most the degree bound or below the cap.
 
         Depth-first from 1, raising one exponent at a time and never at a
         generator before the last one raised, so each monomial is reached
@@ -301,8 +307,8 @@ class Presentation:
         generator i to exponent x can only bring in a lead whose exponent at
         i is x, so leads are indexed by (i, x).
         """
-        width = self._width_for(top)
-        guard, basis = self._packed(width)
+        width = self._width
+        guard, basis = self._packed()
         degrees = self.ring.degrees
         n = len(degrees)
         shift, mask = n * width, (1 << width) - 1
@@ -334,17 +340,10 @@ class Presentation:
     def top_degree(self) -> int | None:
         """Largest degree with a nonzero graded piece, -1 for the zero ring
         (where even degree 0 vanishes), or None if unbounded."""
-        if self.truncation is not None:
-            bound = self.truncation
-        elif len(self.relations) < self.ring.ngens:
-            return None  # a generator without a relation has no vanishing power
-        else:
-            # An untruncated presentation is a monic tower: each generator g
-            # has one relation, led by a pure power g^m, so the standard
-            # monomials fill a box.
-            bound = sum((m - 1) * d for r in self.relations
-                        for m, d in zip(r.leading_exponents(), self.ring.degrees) if m)
-        dims = self.dimensions(bound)
+        if self.truncation is None:
+            # a monic tower: its box's corner is a standard monomial
+            return self.degree_bound
+        dims = self.dimensions(self.truncation)
         return max((m for m, count in enumerate(dims) if count), default=-1)
 
     # -- identity ------------------------------------------------------------------
@@ -594,22 +593,21 @@ def _buchberger(
 class Element:
     """An element of a presented quotient ring, kept packed in normal form.
 
-    ``_terms`` maps packed monomials of width ``_width`` to nonzero
+    ``_terms`` maps monomials packed at the presentation's width to nonzero
     coefficients (1 over F2); ``poly`` unpacks them on first read.
     """
 
-    __slots__ = ("pres", "_terms", "_width", "_poly")
+    __slots__ = ("pres", "_terms", "_poly")
 
-    def __init__(self, pres: Presentation, terms: dict[int, int], width: int):
+    def __init__(self, pres: Presentation, terms: dict[int, int]):
         self.pres = pres
         self._terms = terms
-        self._width = width
         self._poly: Polynomial | None = None
 
     @property
     def poly(self) -> Polynomial:
         if self._poly is None:
-            n, width = self.pres.ring.ngens, self._width
+            n, width = self.pres.ring.ngens, self.pres._width
             self._poly = Polynomial(self.pres.ring, {
                 _unpack(m, n, width): c for m, c in self._terms.items()})
         return self._poly
@@ -621,28 +619,19 @@ class Element:
             raise RingMismatchError("elements belong to different presentations")
         return other
 
-    def _at(self, width: int) -> dict[int, int]:
-        """The terms packed at ``width`` >= the element's own width."""
-        if width == self._width:
-            return self._terms
-        n, own = self.pres.ring.ngens, self._width
-        return {_widen(m, n, own, width): c for m, c in self._terms.items()}
-
     def _merge(self, other: "Element | Polynomial | int", sign: int) -> "Element":
         """self + sign * other.  A sum of normal forms is a normal form."""
         other = self._coerce(other)
-        width = max(self._width, other._width)
-        terms, others = self._at(width), other._at(width)
         if self.pres.ring.coeffs is Coeffs.F2:
-            return Element(self.pres, dict.fromkeys(terms.keys() ^ others.keys(), 1), width)
-        out = dict(terms)
-        for m, c in others.items():
+            return Element(self.pres, dict.fromkeys(self._terms.keys() ^ other._terms.keys(), 1))
+        out = dict(self._terms)
+        for m, c in other._terms.items():
             c = out.get(m, 0) + sign * c
             if c:
                 out[m] = c
             else:
                 del out[m]
-        return Element(self.pres, out, width)
+        return Element(self.pres, out)
 
     def __add__(self, other: "Element | Polynomial | int") -> "Element":
         return self._merge(other, 1)
@@ -653,22 +642,22 @@ class Element:
     def __neg__(self) -> "Element":
         if self.pres.ring.coeffs is Coeffs.F2:
             return self
-        return Element(self.pres, {m: -c for m, c in self._terms.items()}, self._width)
+        return Element(self.pres, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: "Element | Polynomial | int") -> "Element":
         other = self._coerce(other)
         pres = self.pres
-        top = self.degree() + other.degree() if pres.truncation is None else pres.truncation
-        width = max(_width(top), self._width, other._width)
-        limit = (top + 1) << (pres.ring.ngens * width)
+        if pres.degree_bound is None:
+            pres._check_cap(self.degree() + other.degree())
+        limit = pres._limit
         work: dict[int, int] = {}
-        others = other._at(width).items()
-        for ma, ca in self._at(width).items():
+        others = other._terms.items()
+        for ma, ca in self._terms.items():
             for mb, cb in others:
                 m = ma + mb
                 if m < limit:
                     work[m] = work.get(m, 0) + ca * cb
-        return pres._reduced(work, width)
+        return pres._reduced(work)
 
     def __rmul__(self, other: int) -> "Element":
         return self * other
@@ -683,16 +672,17 @@ class Element:
         """Largest weighted degree of a term; 0 for zero."""
         if not self._terms:
             return 0
-        return max(self._terms) >> (self.pres.ring.ngens * self._width)
+        return max(self._terms) >> (self.pres.ring.ngens * self.pres._width)
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, Polynomial) and other.ring != self.pres.ring:
+            return False
         if isinstance(other, (int, Polynomial)):
             other = self.pres.element(other)
         if not isinstance(other, Element) or (
                 other.pres is not self.pres and other.pres != self.pres):
             return False
-        width = max(self._width, other._width)
-        return self._at(width) == other._at(width)
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self.pres, self.poly))

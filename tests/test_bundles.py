@@ -44,7 +44,7 @@ def rp_base(m: int) -> Presentation:
     ring = PolyRing(Coeffs.F2, [("x", 1)])
     return Presentation(
         ring, [ring.parse(f"x^{m + 1}")], Strategy.MONIC_TOWER
-    ).complete()
+    )
 
 
 def generic_base(n: int, coeffs: Coeffs = Coeffs.F2, d: int = 1) -> Presentation:
@@ -100,7 +100,7 @@ def test_inhomogeneous_class_rejected():
 
 def test_base_generator_names_reserved_for_fibre_classes():
     ring = PolyRing(Coeffs.F2, [("T", 2)])
-    base = Presentation(ring, [], Strategy.GROEBNER_F2, truncation=6).complete()
+    base = Presentation(ring, [], Strategy.GROEBNER_F2, truncation=6)
     with pytest.raises(BundleError):
         BundleSpec(KField.R, 2, base, [base.zero()] * 2)
 
@@ -328,7 +328,7 @@ def test_p_xi_recursion_identity():
     for n in (2, 3, 4):
         gens = [(f"w{i}", i) for i in range(1, n + 2)]
         base = Presentation(PolyRing(Coeffs.F2, gens), [], Strategy.GROEBNER_F2,
-                            n + 1).complete()
+                            n + 1)
         b = make_bundle(KField.R, n + 1, base, {i: f"w{i}" for i in range(1, n + 2)})
         ring, rels = _plane_relations(b)
         p = [p_closed_form(ring, i) for i in range(n + 2)]
@@ -377,7 +377,7 @@ def test_gaussian_binomial_against_series_oracle():
 def generic_truncated_bundle(n: int, trunc: int) -> BundleSpec:
     gens = [(f"w{i}", i) for i in range(1, n + 2)]
     ring = PolyRing(Coeffs.F2, gens)
-    base = Presentation(ring, [], Strategy.GROEBNER_F2, truncation=trunc).complete()
+    base = Presentation(ring, [], Strategy.GROEBNER_F2, truncation=trunc)
     return make_bundle(KField.R, n + 1, base, {i: f"w{i}" for i in range(1, n + 2)})
 
 
@@ -501,7 +501,7 @@ def test_feder_complex_bundle_reduces_mod_two():
 
 def test_truncated_base_extension_switches_strategy():
     ring = PolyRing(Coeffs.F2, [("x", 1)])
-    base = Presentation(ring, [], Strategy.GROEBNER_F2, truncation=3).complete()
+    base = Presentation(ring, [], Strategy.GROEBNER_F2, truncation=3)
     b = make_bundle(KField.R, 2, base, {1: "x"})
     pres, _, _ = projective_ring(b)
     assert pres.strategy is Strategy.GROEBNER_F2

@@ -33,15 +33,13 @@ from tcbundles import (
 )
 from tcbundles.cli import parse_spec_file
 from tcbundles.obstruct import (
-    feder_of,
+    criteria_table,
     first_vanishing,
     grassmann_of,
     powers,
     projective_of,
     q_tilde_of,
-    sphere_powers,
     symm_proj_powers,
-    symm_sphere_powers,
 )
 
 from oracles import f2_ideal_member
@@ -50,7 +48,7 @@ from oracles import monomials_of_degree as _monomials_of_degree
 
 def truncated_base(gens, truncation):
     ring = PolyRing(Coeffs.F2, gens)
-    return Presentation(ring, [], Strategy.GROEBNER_F2, truncation=truncation).complete()
+    return Presentation(ring, [], Strategy.GROEBNER_F2, truncation=truncation)
 
 
 def rp4_line_bundle(w2_zero=False):
@@ -389,21 +387,6 @@ def test_divisibility_matches_ideal_membership():
 SHIPPED_SPECS = ("complex_n2", "milnor_r2", "peterson_r1", "rp3_bundle")
 
 
-def criterion_sequences(b):
-    """(name, power sequence, Euler class) for every criterion that applies."""
-    out = []
-    if b.field is KField.R:
-        w_n = sphere_quotient_ring(b).element(b.w(b.n).poly)
-        out.append(("sphere_divisibility", sphere_powers(b), w_n))
-        out.append(("symm_sphere", symm_sphere_powers(b), projective_of(b)[1]))
-    coeffs = [Coeffs.INT, Coeffs.F2] if b.base.ring.coeffs is Coeffs.INT else [Coeffs.F2]
-    for c in coeffs:
-        e = q_tilde_of(b, c)[1]
-        out.append((f"proj_pair_{c.value}", powers(e), e))
-    out.append(("symm_proj", symm_proj_powers(b), feder_of(b)[2]))
-    return out
-
-
 def brute_force_vanishing(e, k_max):
     """The least k <= k_max with e ** k = 0 and the witness e ** (k - 1),
     else NotFoundUpTo(k_max) and e ** k_max, each power computed afresh."""
@@ -423,7 +406,7 @@ def shipped_and_random_bundles():
 def test_sequences_match_brute_force_powers():
     for b in shipped_and_random_bundles():
         for k_max in (2, default_k_max(b)):
-            for name, seq, e in criterion_sequences(b):
+            for name, seq, e in criteria_table(b):
                 got = first_vanishing(seq, k_max)
                 assert got == brute_force_vanishing(e, k_max), (b, name, k_max)
                 if k_max == default_k_max(b):
@@ -486,7 +469,7 @@ def test_default_k_max_reaches_the_nilpotency_degree():
     bundles = [random_real_bundle(rng, 3) for _ in range(12)]
     bundles += [trivial_bundle(f, r) for f in KField for r in (2, 3, 4)]
     for b in bundles:
-        for name, _, e in criterion_sequences(b):
+        for name, _, e in criteria_table(b):
             top = e.pres.top_degree()
             if e.is_zero() or top is None:
                 continue
