@@ -177,7 +177,7 @@ def reduce_mod2(b: BundleSpec) -> BundleSpec:
         return b
     ring2 = b.base.ring.to_f2()
     rels2 = [r.mod2(ring2) for r in b.base.relations]
-    base2 = Presentation(ring2, rels2, b.base.strategy, b.base.truncation)
+    base2 = Presentation(ring2, rels2, truncation=b.base.truncation)
     classes2 = [base2.element(c.poly.mod2(ring2)) for c in b.classes]
     return BundleSpec(b.field, b.rank, base2, classes2)
 

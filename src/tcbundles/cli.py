@@ -40,7 +40,7 @@ from .polyalg import (
     PolyRing,
     render_polynomial,
 )
-from .ringquot import Element, ModuleBasisError, Presentation, PresentationError, Strategy
+from .ringquot import Element, ModuleBasisError, Presentation, PresentationError
 
 STABLE_RANGE_CAVEAT = (
     "cohomology shadow only: passing a criterion does not certify the stable "
@@ -212,9 +212,8 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
             rel_polys.append(ring.parse(expr))
         except ParseError as exc:
             raise SpecFileError(f"bad relation: {exc}", path, line_no) from exc
-    strategy = Strategy.GROEBNER_F2 if truncation is not None else Strategy.MONIC_TOWER
     try:
-        base = Presentation(ring, rel_polys, strategy, truncation)
+        base = Presentation(ring, rel_polys, truncation=truncation)
     except PresentationError as exc:
         raise SpecFileError(str(exc), path) from exc
 

@@ -9,10 +9,10 @@ the same verdict (degreewise linear algebra, long division in t, a
 module-basis reduction), that route advances in lockstep and the first
 mismatch raises :class:`InternalDisagreementError` rather than returning.
 :func:`first_vanishing` reads the least vanishing power and its witness off
-:func:`criteria_table` lists the sequence and Euler class of every
-criterion that applies to a bundle.  Four per-k tests answer for one k:
-:func:`sphere_divisibility_test` runs the divisibility route alone, and
-:func:`gysin_equivalence_check`, :func:`symm_sphere_test` and
+a power sequence, and :func:`criteria_table` lists the sequence and Euler
+class of every criterion that applies to a bundle.  Four per-k tests answer
+for one k: :func:`sphere_divisibility_test` runs the divisibility route
+alone, and :func:`gysin_equivalence_check`, :func:`symm_sphere_test` and
 :func:`symm_proj_test` read the k-th term of a checked sequence.
 """
 

@@ -3,10 +3,11 @@
 One reducer serves every presentation, over F2 and over Z: the constructor
 completes the relations to a Groebner basis in graded-lex order (later
 generators larger) with leading coefficients +1, and a polynomial is
-rewritten from its largest monomial down.  ``Strategy`` only chooses how
-the constructor validates and completes them:
+rewritten from its largest monomial down.  The truncation alone decides how
+the constructor validates and completes them; ``Presentation.strategy`` names
+the way, and a ``Strategy`` passed to the constructor is ignored:
 
-``MONIC_TOWER``
+``MONIC_TOWER``, without a truncation
     Each relation is monic in its own *designated* generator: a single
     leading term ``g^m`` with unit coefficient, every other term in strictly
     earlier generators and lower powers of ``g``.  Such leads are pairwise
@@ -15,9 +16,10 @@ the constructor validates and completes them:
     generators with basis ``1, g, ..., g^(m-1)``.  All integral
     presentations take this shape.
 
-``GROEBNER_F2``
-    Truncated Buchberger completion over F2.  Each S-pair is keyed once, when
-    it is created, and waits in a heap that pops the lowest lcm degree first.
+``GROEBNER_F2``, with a truncation
+    Truncated Buchberger completion over F2; a truncation over Z raises.
+    Each S-pair is keyed once, when it is created, and waits in a heap that
+    pops the lowest lcm degree first.
     Three filters run at creation: a pair of two monomials (its S-polynomial
     is zero), a pair with coprime leads (Buchberger's first criterion) or a
     pair with its lcm above the truncation bound is never queued.  Since all
@@ -68,8 +70,7 @@ Elements stay packed: an ``Element`` holds its normal form as a map from
 packed monomials to coefficients, at its presentation's width.  A product
 is a packed convolution followed by ``_reduce``; a sum or difference merges
 the maps, as a sum of normal forms is a normal form.  A ``Polynomial`` is
-built only when ``Element.poly`` is read.  Each presentation packs its
-basis once, on first use.
+built only when ``Element.poly`` is read; the constructor packs the basis.
 
 Dimensions are counted on the standard monomials, those that no lead of the
 basis divides; they form a basis of the quotient in each degree.
@@ -96,14 +97,14 @@ from .polyalg import Coeffs, ExpVec, PolyRing, Polynomial, RingMismatchError, po
 
 
 class Strategy(Enum):
-    """How relations are validated and completed; reduction ignores it."""
+    """How relations are completed, as the truncation decides; reduction ignores it."""
 
     MONIC_TOWER = "monic_tower"
     GROEBNER_F2 = "groebner_f2"
 
 
 class PresentationError(ValueError):
-    """The relation set violates the requirements of its strategy."""
+    """The relations or the truncation do not make a presentation."""
 
 
 class ModuleBasisError(ValueError):
@@ -140,33 +141,37 @@ _CAP = 1 << 62
 
 
 class Presentation:
-    """A graded ring given by generators, homogeneous relations and a strategy.
+    """A graded ring given by generators, homogeneous relations and an optional truncation.
 
     Instances are immutable.  The constructor validates the relations and
-    completes them: a monic tower is stored with leading coefficients +1, an
-    F2 presentation as its reduced Groebner basis up to the truncation.
+    completes them: without a truncation they must form a monic tower, stored
+    with leading coefficients +1; with one, over F2, they are stored as their
+    reduced Groebner basis up to the truncation.  ``strategy`` is deprecated
+    and ignored.  ``_known`` is private to ``extend``: a finished
+    basis in ``ring`` that enters the completion before ``relations``.
     ``degree_bound`` is the degree above which the quotient is zero, or None
     when a generator has no relation.
     """
 
-    __slots__ = ("ring", "relations", "strategy", "truncation", "degree_bound",
+    __slots__ = ("ring", "relations", "truncation", "degree_bound",
                  "_width", "_limit", "_basis", "_dims", "_hash")
 
     def __init__(
         self,
         ring: PolyRing,
         relations: Sequence[Polynomial],
-        strategy: Strategy,
+        strategy: Strategy | None = None,
         truncation: int | None = None,
+        *,
+        _known: Sequence[Polynomial] = (),
     ):
-        rels = _checked(ring, relations, strategy, truncation)
+        rels = _checked(ring, relations, truncation)
         self.ring = ring
-        self.strategy = strategy
         self.truncation = truncation
-        if strategy is Strategy.MONIC_TOWER:
-            self.relations = tuple(_tower_normalize(ring, rels))
+        if truncation is None:
+            self.relations = tuple(_tower_normalize(ring, [*_known, *rels]))
         else:
-            self.relations = _buchberger(ring, rels, truncation)
+            self.relations = _buchberger(ring, rels, truncation, _known)
         self.degree_bound: int | None = truncation
         if truncation is None and len(self.relations) == ring.ngens:  # a tower's box corner
             self.degree_bound = sum((m - 1) * d for r in self.relations
@@ -174,11 +179,19 @@ class Presentation:
         top = _CAP - 1 if self.degree_bound is None else self.degree_bound
         self._width = _width(top)
         self._limit = (top + 1) << (ring.ngens * self._width)
-        # (guard bits, packed basis), filled by ``_packed``
-        self._basis: tuple[int, tuple[_BasisElement, ...]] | None = None
+        # guard bits and packed basis, without the elements above the degree bound
+        packed = ({_pack(e, self._width, ring.degrees): c for e, c in r._terms.items()}
+                  for r in self.relations)
+        self._basis = (_guard(ring.ngens, self._width),
+                       tuple(_lead_and_tail(p) for p in packed if max(p) < self._limit))
         # dimensions in degrees 0, 1, ..., filled by ``dimensions``
         self._dims: list[int] | None = None
         self._hash: int | None = None
+
+    @property
+    def strategy(self) -> Strategy:
+        """How the relations were completed, as the truncation decides."""
+        return Strategy.MONIC_TOWER if self.truncation is None else Strategy.GROEBNER_F2
 
     # -- completion -----------------------------------------------------------
 
@@ -199,19 +212,16 @@ class Presentation:
         with one, the result is an F2 presentation completed from this ring's
         basis as it is, pairing and reducing only ``relations``.
         """
+        if truncation is None and self.truncation is not None:
+            raise PresentationError("extending a truncated ring requires a truncation degree")
         known = [r.lift(ring) for r in self.relations]
-        if truncation is None and self.truncation is None:
-            return Presentation(ring, known + list(relations), self.strategy)
-        rels = _checked(ring, relations, Strategy.GROEBNER_F2, truncation)
         if self.truncation is not None and truncation > self.truncation:
             leads = [r.leading_exponents() for r in known]
             indices = [ring.index(name) for name in self.ring.names]
             monomials = _truncation_monomials(ring, indices, self.truncation)
             known += [ring.monomial(m) for m in monomials
                       if not any(all(map(le, lead, m)) for lead in leads)]
-        pres = Presentation(ring, (), Strategy.GROEBNER_F2, truncation)
-        pres.relations = _buchberger(ring, rels, truncation, known)  # before a cache reads it
-        return pres
+        return Presentation(ring, relations, truncation=truncation, _known=known)
 
     # -- normal forms ----------------------------------------------------------
 
@@ -219,20 +229,9 @@ class Presentation:
         """The normal form of ``p``, unpacked."""
         return self.element(p).poly
 
-    def _packed(self) -> tuple[int, tuple["_BasisElement", ...]]:
-        """Guard bits and packed basis, packed on first use.  Elements above
-        the degree bound are left out: their leads divide nothing kept."""
-        if self._basis is None:
-            width, degrees = self._width, self.ring.degrees
-            packed = ({_pack(e, width, degrees): c for e, c in r._terms.items()}
-                      for r in self.relations)
-            self._basis = (_guard(self.ring.ngens, width),
-                           tuple(_lead_and_tail(p) for p in packed if max(p) < self._limit))
-        return self._basis
-
     def _reduced(self, work: dict[int, int]) -> "Element":
         """The element of a packed polynomial (consumed)."""
-        guard, basis = self._packed()
+        guard, basis = self._basis
         return Element(self, _reduce(work, basis, guard, self.ring.coeffs is Coeffs.F2))
 
     def _check_cap(self, degree: int) -> None:
@@ -308,7 +307,7 @@ class Presentation:
         i is x, so leads are indexed by (i, x).
         """
         width = self._width
-        guard, basis = self._packed()
+        guard, basis = self._basis
         degrees = self.ring.degrees
         n = len(degrees)
         shift, mask = n * width, (1 << width) - 1
@@ -335,7 +334,9 @@ class Presentation:
                     stack.append((raised, i))
 
     def dimension(self, degree: int) -> int:
-        return self.dimensions(degree)[degree] if degree >= 0 else 0
+        if degree < 0 or (self.degree_bound is not None and degree > self.degree_bound):
+            return 0
+        return self.dimensions(degree)[degree]
 
     def top_degree(self) -> int | None:
         """Largest degree with a nonzero graded piece, -1 for the zero ring
@@ -353,13 +354,12 @@ class Presentation:
             isinstance(other, Presentation)
             and self.ring == other.ring
             and self.relations == other.relations
-            and self.strategy is other.strategy
             and self.truncation == other.truncation
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ring, self.relations, self.strategy, self.truncation))
+            self._hash = hash((self.ring, self.relations, self.truncation))
         return self._hash
 
     def __repr__(self) -> str:
@@ -370,7 +370,7 @@ class Presentation:
 
 def free_presentation(coeffs: Coeffs, generators: Sequence[tuple[str, int]]) -> Presentation:
     """Polynomial ring with no relations."""
-    return Presentation(PolyRing(coeffs, generators), (), Strategy.MONIC_TOWER)
+    return Presentation(PolyRing(coeffs, generators), ())
 
 
 def point_presentation(coeffs: Coeffs = Coeffs.F2) -> Presentation:
@@ -381,9 +381,9 @@ def point_presentation(coeffs: Coeffs = Coeffs.F2) -> Presentation:
 # -- validation ----------------------------------------------------------------------------
 
 
-def _checked(ring: PolyRing, relations: Sequence[Polynomial], strategy: Strategy,
+def _checked(ring: PolyRing, relations: Sequence[Polynomial],
              truncation: int | None) -> list[Polynomial]:
-    """The nonzero relations, once they, the truncation and the strategy check out."""
+    """The nonzero relations, once they and the truncation check out."""
     rels = []
     for r in relations:
         if r.ring != ring:
@@ -393,13 +393,11 @@ def _checked(ring: PolyRing, relations: Sequence[Polynomial], strategy: Strategy
         if not r.is_homogeneous():
             raise PresentationError(f"relation {r} is not homogeneous")
         rels.append(r)
-    if truncation is not None and (not isinstance(truncation, int) or truncation <= 0):
-        raise PresentationError("truncation must be a positive integer")
-    if strategy is Strategy.GROEBNER_F2:
+    if truncation is not None:
+        if not isinstance(truncation, int) or truncation <= 0:
+            raise PresentationError("truncation must be a positive integer")
         if ring.coeffs is not Coeffs.F2:
             raise PresentationError("GROEBNER_F2 requires F2 coefficients")
-        if truncation is None:
-            raise PresentationError("GROEBNER_F2 requires a truncation degree")
     return rels
 
 

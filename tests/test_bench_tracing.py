@@ -1,22 +1,31 @@
-"""The benchmark's tracer finds every package name it rebinds.
+"""The benchmark harness still fits the package.
 
-``bench/tracing.py`` rebinds functions and methods of the package by name.
-Deleting or renaming one of them must fail here, not only in the traced
-benchmark run.
+``bench/tracing.py`` rebinds functions and methods of the package by name,
+and ``bench/workloads.py`` builds its inputs through the package's public
+API.  Deleting or renaming a name the tracer rebinds, or changing a call the
+workloads make, must fail here, not only in a benchmark run.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def bench_module(name):
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
 
 
 def test_tracer_rebinds_every_name_it_lists():
-    sys.path.insert(0, str(BENCH))
-    try:
-        import tracing
-    finally:
-        sys.path.remove(str(BENCH))
+    tracing = bench_module("tracing")
 
     class Recording(tracing.Tracer):
         def __init__(self):
@@ -44,3 +53,11 @@ def test_tracer_rebinds_every_name_it_lists():
     finally:
         tracer.restore()
     assert obstruct.symm_sphere_test is original
+
+
+@pytest.mark.parametrize("name", sorted(bench_module("workloads").WORKLOADS))
+def test_workload_inputs_build(name):
+    # what the harness's set_up does, then one pass's operations, not run
+    workload = bench_module("workloads").WORKLOADS[name](0, ROOT)
+    ops = next(workload.passes())
+    assert ops and {op.case for op in ops} == set(workload.cases)

@@ -42,9 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def rp_base(m: int) -> Presentation:
     ring = PolyRing(Coeffs.F2, [("x", 1)])
-    return Presentation(
-        ring, [ring.parse(f"x^{m + 1}")], Strategy.MONIC_TOWER
-    )
+    return Presentation(ring, [ring.parse(f"x^{m + 1}")])
 
 
 def generic_base(n: int, coeffs: Coeffs = Coeffs.F2, d: int = 1) -> Presentation:
@@ -100,7 +98,7 @@ def test_inhomogeneous_class_rejected():
 
 def test_base_generator_names_reserved_for_fibre_classes():
     ring = PolyRing(Coeffs.F2, [("T", 2)])
-    base = Presentation(ring, [], Strategy.GROEBNER_F2, truncation=6)
+    base = Presentation(ring, [], truncation=6)
     with pytest.raises(BundleError):
         BundleSpec(KField.R, 2, base, [base.zero()] * 2)
 
@@ -327,8 +325,7 @@ def test_p_xi_recursion_identity():
     # p_(n+1)^xi = Y*p_n^xi + Z*p_(n-1)^xi + w_((n+1)d)
     for n in (2, 3, 4):
         gens = [(f"w{i}", i) for i in range(1, n + 2)]
-        base = Presentation(PolyRing(Coeffs.F2, gens), [], Strategy.GROEBNER_F2,
-                            n + 1)
+        base = Presentation(PolyRing(Coeffs.F2, gens), [], truncation=n + 1)
         b = make_bundle(KField.R, n + 1, base, {i: f"w{i}" for i in range(1, n + 2)})
         ring, rels = _plane_relations(b)
         p = [p_closed_form(ring, i) for i in range(n + 2)]
@@ -377,7 +374,7 @@ def test_gaussian_binomial_against_series_oracle():
 def generic_truncated_bundle(n: int, trunc: int) -> BundleSpec:
     gens = [(f"w{i}", i) for i in range(1, n + 2)]
     ring = PolyRing(Coeffs.F2, gens)
-    base = Presentation(ring, [], Strategy.GROEBNER_F2, truncation=trunc)
+    base = Presentation(ring, [], truncation=trunc)
     return make_bundle(KField.R, n + 1, base, {i: f"w{i}" for i in range(1, n + 2)})
 
 
@@ -465,7 +462,7 @@ def test_feder_raises_unless_its_leads_are_the_planes_and_x_power(monkeypatch):
     plane = grassmann_ring(b)[0]
 
     def extend_without_the_base(self, ring, relations, truncation):
-        return Presentation(ring, relations, Strategy.GROEBNER_F2, truncation)
+        return Presentation(ring, relations, truncation=truncation)
 
     monkeypatch.setattr(Presentation, "extend", extend_without_the_base)
     with pytest.raises(ModuleBasisError, match="not free over the plane ring"):
@@ -501,7 +498,7 @@ def test_feder_complex_bundle_reduces_mod_two():
 
 def test_truncated_base_extension_switches_strategy():
     ring = PolyRing(Coeffs.F2, [("x", 1)])
-    base = Presentation(ring, [], Strategy.GROEBNER_F2, truncation=3)
+    base = Presentation(ring, [], truncation=3)
     b = make_bundle(KField.R, 2, base, {1: "x"})
     pres, _, _ = projective_ring(b)
     assert pres.strategy is Strategy.GROEBNER_F2

@@ -428,7 +428,7 @@ def test_rings_rebuilt_from_their_relations_are_equal(path):
     bundle = parse_spec_file(str(path)).bundle
     for build in (projective_of, q_tilde_of, grassmann_of, feder_of):
         pres = build(bundle)[0]
-        again = Presentation(pres.ring, pres.relations, pres.strategy, pres.truncation)
+        again = Presentation(pres.ring, pres.relations, truncation=pres.truncation)
         assert again == pres and hash(again) == hash(pres), build.__name__
 
 

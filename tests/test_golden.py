@@ -59,6 +59,14 @@ def test_machine_output_is_byte_identical(capsys, name, argv):
     assert captured.out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def test_ring_dumps_name_groebner_f2_exactly_when_truncated():
+    for path in sorted(GOLDEN.glob("ring_*.txt")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        truncated = any(line.startswith("truncation=") for line in lines)
+        assert ("strategy=groebner_f2" in lines) == truncated, path.name
+        assert ("strategy=monic_tower" in lines) != truncated, path.name
+
+
 def _fields(text):
     return dict(line.split("=", 1) for line in text.splitlines())
 

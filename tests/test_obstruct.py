@@ -14,7 +14,6 @@ from tcbundles import (
     Polynomial,
     PolyRing,
     Presentation,
-    Strategy,
     closed_form_check,
     Element,
     InternalDisagreementError,
@@ -48,7 +47,7 @@ from oracles import monomials_of_degree as _monomials_of_degree
 
 def truncated_base(gens, truncation):
     ring = PolyRing(Coeffs.F2, gens)
-    return Presentation(ring, [], Strategy.GROEBNER_F2, truncation=truncation)
+    return Presentation(ring, [], truncation=truncation)
 
 
 def rp4_line_bundle(w2_zero=False):

@@ -22,7 +22,6 @@ from tcbundles import (
     Polynomial,
     PolyRing,
     Presentation,
-    Strategy,
     default_k_max,
 )
 from tcbundles.obstruct import (
@@ -60,7 +59,7 @@ def random_bundle(seed: int) -> tuple[BundleSpec, list[Polynomial]]:
     truncation = rng.randint(3, 6)
     degree = rng.randint(2, truncation)  # one degree, so one relation can reduce the other
     raw = [random_poly(rng, ring, degree) for _ in range(rng.randint(0, 2))]
-    base = Presentation(ring, raw, Strategy.GROEBNER_F2, truncation)
+    base = Presentation(ring, raw, truncation=truncation)
     classes = [base.element(random_poly(rng, ring, i)) for i in range(1, rank + 1)]
     return BundleSpec(KField.R, rank, base, classes), raw
 
