@@ -15,7 +15,7 @@ Tolerances: 1e-9 for geometric identities, 1e-12 for scalar algebra; inputs
 inside a 1e-9 degeneracy cutoff (antipodal points, orthogonal lines, equal
 lines) are rejected, not perturbed.
 
-Broadcasting.  The sphere kernels (``_c_raw``, ``_sigma_raw``, ``_pi_raw``,
+Broadcasting.  The sphere kernels (``_arc``, ``_sigma_raw``, ``_pi_raw``,
 ``_pi_inverse_raw``) and ``complex_structure`` take points as ``(..., dim)``
 arrays and broadcast over the leading axes.  So do the projective maps:
 ``ProjPoint`` holds one line per leading index of a ``(..., m, d)`` array,
@@ -28,12 +28,12 @@ against the leading axes, so ``t`` of shape ``(T, 1)`` with points of shape
 ``GeometryError`` if any of its rows is degenerate.  A planner rule's
 ``path(u, v)`` does its per-pair work once, on the points alone, and returns a
 function of ``t`` that broadcasts in the same way; ``_arc(u, v)`` is that step
-for the great-circle arc, and ``_c_raw(t, u, v)`` is ``_arc(u, v)(t)``.  The
-single-point sphere functions (``geodesic_c``, ``rho_sphere``, ``sigma_sphere``,
-``pi_map``, ``pi_inverse``) and ``Planner.plan`` run the same kernels on one
-row, and ``verify_planner`` and both chart roundtrips run them over batches of
-sampled rows.  ``SpherePoint`` stays one point: it rejects a 2-D array instead of
-reading it as a batch, and batched sphere code passes raw arrays.
+for the great-circle arc.  The single-point sphere functions (``geodesic_c``,
+``rho_sphere``, ``sigma_sphere``, ``pi_map``, ``pi_inverse``) and
+``Planner.plan`` run the same kernels on one row, and ``verify_planner`` and
+both chart roundtrips run them over batches of sampled rows.  ``SpherePoint``
+stays one point: it rejects a 2-D array instead of reading it as a batch, and
+batched sphere code passes raw arrays.
 """
 
 from __future__ import annotations
@@ -210,24 +210,20 @@ def _arc(u: np.ndarray, v: np.ndarray) -> PairPath:
     return at
 
 
-def _c_raw(t: float | np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return _arc(u, v)(t)
-
-
 def geodesic_c(t: float, u, v) -> SpherePoint:
     """The unique shortest great-circle arc: c(0) = u, c(1) = v, constant
     speed, undefined for antipodal inputs; c(t, u, u) = u."""
-    return SpherePoint(_c_raw(t, _coords(u), _coords(v)))
+    return SpherePoint(_arc(_coords(u), _coords(v))(t))
 
 
 def rho_sphere(t: float, u, v) -> SpherePoint:
     """Reparametrized arc with rho(1) = u and rho(-1) = v."""
-    return SpherePoint(_c_raw((1.0 - t) / 2.0, _coords(u), _coords(v)))
+    return SpherePoint(_arc(_coords(u), _coords(v))((1.0 - t) / 2.0))
 
 
 def _sigma_raw(w: np.ndarray, t: float | np.ndarray, u: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    return _c_raw(np.abs(t), w, np.where(t >= 0.0, 1.0, -1.0)[..., None] * u)
+    return _arc(w, np.where(t >= 0.0, 1.0, -1.0)[..., None] * u)(np.abs(t))
 
 
 def sigma_sphere(w, t: float, u) -> SpherePoint:
@@ -298,8 +294,8 @@ def proj_rho(t: float | np.ndarray, line_l: ProjPoint, line_m: ProjPoint) -> Pro
     if np.any(mag <= GEOM_TOL):
         raise GeometryError("projective geodesic undefined for orthogonal lines")
     v = k_scalar_mul(field, inner / mag[..., None], v0)
-    point = _c_raw((1.0 - np.asarray(t, dtype=float)) / 2.0,
-                   u.reshape(u.shape[:-2] + (-1,)), v.reshape(v.shape[:-2] + (-1,)))
+    point = _arc(u.reshape(u.shape[:-2] + (-1,)), v.reshape(v.shape[:-2] + (-1,)))(
+        (1.0 - np.asarray(t, dtype=float)) / 2.0)
     return ProjPoint(field, point.reshape(point.shape[:-1] + u.shape[-2:]))
 
 
@@ -648,8 +644,8 @@ def verify_planner(planner: Planner, samples: int, seed: int) -> PlannerReport:
         a, uv = (np.array(part) for part in zip(*kept))
         g, _ = np.linalg.qr(a)
         u, v = uv[:, 0], uv[:, 1]
-        lhs = _c_raw(eq_grid, (g @ u[..., None])[..., 0], (g @ v[..., None])[..., 0])
-        rhs = np.swapaxes(_c_raw(eq_grid, u, v), 0, 1) @ np.swapaxes(g, 1, 2)
+        lhs = _arc((g @ u[..., None])[..., 0], (g @ v[..., None])[..., 0])(eq_grid)
+        rhs = np.swapaxes(_arc(u, v)(eq_grid), 0, 1) @ np.swapaxes(g, 1, 2)
         equivariance = max(equivariance, _max_distance(np.swapaxes(lhs, 0, 1), rhs))
 
     passed = (

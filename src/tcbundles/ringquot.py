@@ -53,24 +53,26 @@ from the next, and it keeps its guard bit just when m_i >= l_i.  The degree
 field takes no part in the test.  The quotient is ``m - l`` and a product is
 ``m + l``, degree field included.
 
-Each presentation packs at one width, that of its degree bound: the
-truncation, else, when every generator g has a relation g^m + ..., the
-corner sum of (m - 1) deg g of the tower's box of standard monomials, above
-which the quotient is zero.  An exponent is at most the degree of its
-monomial, so that width holds them all.  A ring with a free generator packs
-at the width of the cap 2^62 instead, and an element, product or walk that
-reaches the cap raises ``PresentationError``.  Two exponents below
-2^(width-1) sum below 2^width, so a product never carries into the next
-field, even above the bound, and with ``limit = (bound + 1) << (n * width)``
-one compare ``m < limit`` drops a term above the bound.  Packing a vector
-whose exponents overflow their fields only sets more bits, so it too lands
-at or above the limit when its degree is above the bound.
+Each presentation's constructor alone fixes its layout, at one width, that
+of its degree bound: the truncation, else, when every generator g has a
+relation g^m + ..., the corner sum of (m - 1) deg g of the tower's box of
+standard monomials, above which the quotient is zero.  An exponent is at
+most the degree of its monomial, so that width holds them all.  A ring with
+a free generator packs at the width of the cap 2^62 instead, and an
+element, product or walk that reaches the cap raises ``PresentationError``.
+Two exponents below 2^(width-1) sum below 2^width, so a product never
+carries into the next field, even above the bound, and with
+``limit = (bound + 1) << (n * width)`` one compare ``m < limit`` drops a
+term above the bound.  Packing a vector whose exponents overflow their
+fields only sets more bits, so it too lands at or above the limit when its
+degree is above the bound.  ``_packed`` packs relations and elements, and
+``_unpacked`` gives ``relations`` and ``Element.poly``.
 
 Elements stay packed: an ``Element`` holds its normal form as a map from
 packed monomials to coefficients, at its presentation's width.  A product
 is a packed convolution followed by ``_reduce``; a sum or difference merges
 the maps, as a sum of normal forms is a normal form.  A ``Polynomial`` is
-built only when ``Element.poly`` is read; the constructor packs the basis.
+built only when ``Element.poly`` is read.
 
 Dimensions are counted on the standard monomials, those that no lead of the
 basis divides; they form a basis of the quotient in each degree.
@@ -168,22 +170,26 @@ class Presentation:
         rels = _checked(ring, relations, truncation)
         self.ring = ring
         self.truncation = truncation
-        if truncation is None:
-            self.relations = tuple(_tower_normalize(ring, [*_known, *rels]))
-        else:
-            self.relations = _buchberger(ring, rels, truncation, _known)
         self.degree_bound: int | None = truncation
-        if truncation is None and len(self.relations) == ring.ngens:  # a tower's box corner
-            self.degree_bound = sum((m - 1) * d for r in self.relations
-                                    for m, d in zip(r.leading_exponents(), ring.degrees) if m)
+        if truncation is None:
+            rels = _tower_normalize(ring, [*_known, *rels])
+            if len(rels) == ring.ngens:  # a tower's box corner
+                self.degree_bound = sum((m - 1) * d for r in rels
+                                        for m, d in zip(r.leading_exponents(), ring.degrees) if m)
         top = _CAP - 1 if self.degree_bound is None else self.degree_bound
         self._width = _width(top)
         self._limit = (top + 1) << (ring.ngens * self._width)
-        # guard bits and packed basis, without the elements above the degree bound
-        packed = ({_pack(e, self._width, ring.degrees): c for e, c in r._terms.items()}
-                  for r in self.relations)
-        self._basis = (_guard(ring.ngens, self._width),
-                       tuple(_lead_and_tail(p) for p in packed if max(p) < self._limit))
+        guard = _guard(ring.ngens, self._width)
+        # relations are homogeneous: one above the degree bound packs empty
+        packed = [p for p in map(self._packed, rels) if p]
+        if truncation is None:
+            self.relations = tuple(rels)
+            basis = tuple(map(_lead_and_tail, packed))
+        else:
+            known = [_lead_and_tail(p) for p in map(self._packed, _known) if p]
+            basis = _buchberger(known, packed, guard, self._limit, self._width, ring.degrees)
+            self.relations = tuple(self._unpacked({lead: 1, **dict(tail)}) for lead, tail in basis)
+        self._basis = (guard, basis)
         # dimensions in degrees 0, 1, ..., filled by ``dimensions``
         self._dims: list[int] | None = None
         self._hash: int | None = None
@@ -229,6 +235,16 @@ class Presentation:
         """The normal form of ``p``, unpacked."""
         return self.element(p).poly
 
+    def _packed(self, p: Polynomial) -> dict[int, int]:
+        """``p`` packed, without its terms above the degree bound, which stay zero."""
+        width, limit, degrees = self._width, self._limit, self.ring.degrees
+        return {m: c for e, c in p._terms.items() if (m := _pack(e, width, degrees)) < limit}
+
+    def _unpacked(self, terms: Mapping[int, int]) -> Polynomial:
+        """The polynomial of packed terms."""
+        n, width = self.ring.ngens, self._width
+        return Polynomial(self.ring, {_unpack(m, n, width): c for m, c in terms.items()})
+
     def _reduced(self, work: dict[int, int]) -> "Element":
         """The element of a packed polynomial (consumed)."""
         guard, basis = self._basis
@@ -247,13 +263,7 @@ class Presentation:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
         self._check_cap(p.degree())
-        width, limit, degrees = self._width, self._limit, self.ring.degrees
-        work = {}
-        for e, c in p._terms.items():
-            m = _pack(e, width, degrees)
-            if m < limit:  # rewrites keep degrees: terms above the bound stay zero
-                work[m] = c
-        return self._reduced(work)
+        return self._reduced(self._packed(p))
 
     def zero(self) -> "Element":
         return self.element(0)
@@ -269,11 +279,12 @@ class Presentation:
         The counts come from one walk of the standard monomials up to
         ``min(top, degree_bound)`` (see ``_walk``) and are cached on the
         instance; a later call with a smaller ``top`` reads a prefix of them.
-        Degrees above the bound have dimension 0.
+        Degrees above the bound have dimension 0; a ``top`` at the cap raises.
         """
         if top < 0:
             return []
-        self._check_cap(top)
+        if top >= _CAP:
+            raise PresentationError(f"degree {top} reaches the cap 2^62")
         reach = top if self.degree_bound is None else min(top, self.degree_bound)
         if self._dims is None or len(self._dims) <= reach:
             dims = [0] * (reach + 1)
@@ -509,25 +520,25 @@ def _reduce(
 
 
 def _buchberger(
-    ring: PolyRing, relations: Sequence[Polynomial], trunc: int,
-    known: Sequence[Polynomial] = (),
-) -> tuple[Polynomial, ...]:
+    known: Sequence[_BasisElement], relations: Sequence[dict[int, int]],
+    guard: int, limit: int, width: int, degrees: Sequence[int],
+) -> tuple[_BasisElement, ...]:
     """Truncated Buchberger completion for homogeneous F2 ideals.
 
-    ``known`` is a Groebner basis up to the truncation in which no lead
-    divides another.  Its elements up to the truncation enter first, as
-    they are, and are never paired with each other (``Presentation.extend``).
+    All is packed in the layout (``width``, ``guard``, ``limit``) of the
+    presentation being built.  ``relations`` are packed polynomials, consumed,
+    without their terms above the truncation.  ``known``, a Groebner basis up
+    to the truncation in which no lead divides another, enters first as basis
+    elements, as it is, and is never paired with itself (``Presentation.extend``).
 
-    Monomials are packed at the width of the truncation; terms above it are
-    dropped from the relations on entry.  Each S-pair is keyed once, when it
-    is created, by (degree field of the packed lcm of its leads, minus its
-    creation number), and waits in a heap: pairs pop lowest degree first
-    and, within a degree, newest first.  A pair is never queued when both
-    elements are monomials (checked before a creation number is taken, so
-    the other pairs keep their order), when its leads are coprime
-    (Buchberger's first criterion, one AND of the leads' generator bitmasks)
-    or when their lcm lies above the truncation: each S-polynomial is zero
-    or reduces to zero.
+    Each S-pair is keyed once, when it is created, by (degree field of the
+    packed lcm of its leads, minus its creation number), and waits in a
+    heap: pairs pop lowest degree first and, within a degree, newest first.
+    A pair is never queued when both elements are monomials (checked before
+    a creation number is taken, so the other pairs keep their order), when
+    its leads are coprime (Buchberger's first criterion, one AND of the
+    leads' generator bitmasks) or when their lcm lies above the truncation:
+    each S-polynomial is zero or reduces to zero.
 
     Each new element is fully reduced by all before it, so only a later lead
     can divide an earlier one, and ``add`` marks every earlier element whose
@@ -535,9 +546,8 @@ def _buchberger(
     basis with the same leading ideal; each remaining tail is reduced once
     against it.  That is the unique reduced basis up to the truncation.
     """
-    n, width, degrees = ring.ngens, _width(trunc), ring.degrees
-    guard, shift = _guard(n, width), n * width
-    limit = (trunc + 1) << shift
+    n = len(degrees)
+    shift = n * width
     basis: list[_BasisElement] = []
     leads: list[tuple[ExpVec, int]] = []  # unpacked lead and its generator bitmask
     redundant: set[int] = set()  # indices of elements whose lead a later lead divides
@@ -563,12 +573,10 @@ def _buchberger(
         basis.append(element)
         leads.append((exps, gens))
 
-    for r in known:
-        if r.degree() <= trunc:
-            add(_lead_and_tail({_pack(e, width, degrees): 1 for e in r._terms}), False)
-    for r in relations:
-        packed = (_pack(e, width, degrees) for e in r._terms)
-        reduced = _reduce({m: 1 for m in packed if m < limit}, basis, guard, True)
+    for element in known:
+        add(element, False)
+    for packed in relations:
+        reduced = _reduce(packed, basis, guard, True)
         if reduced:
             add(_lead_and_tail(reduced), True)
     while pairs:
@@ -583,8 +591,7 @@ def _buchberger(
 
     # no two leads are equal, so the elements sort by lead: graded-lex order
     minimal = sorted(el for k, el in enumerate(basis) if k not in redundant)
-    return tuple(Polynomial(ring, {_unpack(e, n, width): 1 for e in
-                                   (lead, *_reduce(dict(tail), minimal, guard, True))})
+    return tuple((lead, tuple(_reduce(dict(tail), minimal, guard, True).items()))
                  for lead, tail in minimal)
 
 
@@ -605,9 +612,7 @@ class Element:
     @property
     def poly(self) -> Polynomial:
         if self._poly is None:
-            n, width = self.pres.ring.ngens, self.pres._width
-            self._poly = Polynomial(self.pres.ring, {
-                _unpack(m, n, width): c for m, c in self._terms.items()})
+            self._poly = self.pres._unpacked(self._terms)
         return self._poly
 
     def _coerce(self, other: "Element | Polynomial | int") -> "Element":
@@ -668,9 +673,7 @@ class Element:
 
     def degree(self) -> int:
         """Largest weighted degree of a term; 0 for zero."""
-        if not self._terms:
-            return 0
-        return max(self._terms) >> (self.pres.ring.ngens * self.pres._width)
+        return max(self._terms, default=0) >> (self.pres.ring.ngens * self.pres._width)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial) and other.ring != self.pres.ring:

@@ -228,7 +228,7 @@ def planner_equivariance_error(n: int, samples: int, seed: int) -> float:
     from the seed after the two ``(samples, n + 1)`` sample draws."""
     import numpy as np
 
-    from tcbundles.geomplan import _c_raw, _max_distance, _random_units
+    from tcbundles.geomplan import _arc, _max_distance, _random_units
 
     rng = np.random.default_rng(seed)
     dim = n + 1
@@ -241,8 +241,8 @@ def planner_equivariance_error(n: int, samples: int, seed: int) -> float:
         u, v = _random_units(rng, 2, dim)
         if float(np.dot(u, v)) < -1.0 + 1e-6:
             continue
-        lhs = _c_raw(eq_grid, g @ u, g @ v)
-        rhs = _c_raw(eq_grid, u, v) @ g.T
+        lhs = _arc(g @ u, g @ v)(eq_grid)
+        rhs = _arc(u, v)(eq_grid) @ g.T
         equivariance = max(equivariance, _max_distance(lhs, rhs))
     return equivariance
 
@@ -251,7 +251,7 @@ def planner_equivariance_error(n: int, samples: int, seed: int) -> float:
 
 
 def arc_path(t, u, v):
-    """``geomplan._c_raw(t, u, v)`` written out in one pass: the angle and the
+    """``geomplan._arc(u, v)(t)`` written out in one pass: the angle and the
     normal direction are worked out together with the path, and the rows with
     u = v are kept at u by an ``np.where`` that runs whether or not any row
     has u = v."""

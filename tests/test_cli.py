@@ -1,6 +1,7 @@
 """End-to-end command line tests: parsing, criteria output, dumps, planner."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -16,6 +17,7 @@ from tcbundles import bundles, obstruct
 from tcbundles.obstruct import (feder_of, grassmann_of, projective_of, q_tilde_of,
                                 sphere_quotient_ring)
 from tcbundles.ringquot import ModuleBasisError, Presentation
+from test_obstruct import random_real_bundle
 
 MILNOR = "specs/milnor_r2.spec"
 COMPLEX = "specs/complex_n2.spec"
@@ -423,9 +425,22 @@ def test_ring_dump_all_kinds_run(capsys):
         assert machine_map(out)["which"] == which
 
 
-@pytest.mark.parametrize("path", ALL_SPECS, ids=[p.stem for p in ALL_SPECS])
-def test_rings_rebuilt_from_their_relations_are_equal(path):
-    bundle = parse_spec_file(str(path)).bundle
+def rebuild_panel() -> dict:
+    """The bundles of the six spec files and eight random truncated ones."""
+    rng = random.Random(24)
+    panel = {p.stem: parse_spec_file(str(p)).bundle for p in ALL_SPECS}
+    panel.update((f"random{i}", random_real_bundle(rng)) for i in range(8))
+    return panel
+
+
+REBUILD_PANEL = rebuild_panel()
+
+
+@pytest.mark.parametrize("name", REBUILD_PANEL)
+def test_rings_rebuilt_from_their_relations_are_equal(name):
+    # a truncated ring's relations are its packed reduced basis, unpacked:
+    # completing them again gives the same presentation
+    bundle = REBUILD_PANEL[name]
     for build in (projective_of, q_tilde_of, grassmann_of, feder_of):
         pres = build(bundle)[0]
         again = Presentation(pres.ring, pres.relations, truncation=pres.truncation)

@@ -33,7 +33,7 @@ from tcbundles import geomplan
 from tcbundles.geomplan import (
     GEOM_TOL,
     SCALAR_TOL,
-    _c_raw,
+    _arc,
     _pi_inverse_raw,
     k_conj,
     k_inner,
@@ -634,7 +634,7 @@ def test_arc_matches_the_one_pass_formula_bit_for_bit(n):
         for t in SECTION_RULE_TS:
             want = arc_path(t, u, v)
             half = arc_path((1.0 - np.asarray(t, dtype=float)) / 2.0, u, v)
-            for got, expected in ((_c_raw(t, u, v), want), (path(t), half)):
+            for got, expected in ((_arc(u, v)(t), want), (path(t), half)):
                 assert np.array_equal(got, expected, equal_nan=True)
                 assert got.tobytes() == expected.tobytes()
 
@@ -694,7 +694,7 @@ def test_verify_prepares_each_pair_once_for_all_its_t(monkeypatch):
 def test_kernels_broadcast_and_reject_a_batch_with_one_degenerate_row():
     us, vs = random_units(6, 4), random_units(6, 4)
     ts = np.linspace(0.0, 1.0, 5)[:, None]
-    batch = _c_raw(ts, us, vs)
+    batch = _arc(us, vs)(ts)
     assert batch.shape == (5, 6, 4)
     for i in range(6):
         for j, t in enumerate(ts[:, 0]):
@@ -705,7 +705,7 @@ def test_kernels_broadcast_and_reject_a_batch_with_one_degenerate_row():
     antipodal = vs.copy()
     antipodal[3] = -us[3]
     with pytest.raises(GeometryError):
-        _c_raw(0.5, us, antipodal)
+        _arc(us, antipodal)(0.5)
     diagonal = vs.copy()
     diagonal[4] = us[4]
     with pytest.raises(GeometryError):
@@ -794,7 +794,7 @@ def test_verify_reports_cover_failures_for_arc_only_planner():
         return np.einsum("...i,...i->...", u, v) > -1.0 + GEOM_TOL
 
     def path(u, v):
-        return lambda t: _c_raw((1.0 - np.asarray(t, dtype=float)) / 2.0, u, v)
+        return lambda t: _arc(u, v)((1.0 - np.asarray(t, dtype=float)) / 2.0)
 
     arc_only = PlannerRule("shortest-arc", accepts, path)
     partial = Planner(n=1, rules=(arc_only,), lipschitz=4.0)

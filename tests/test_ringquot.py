@@ -867,7 +867,9 @@ def test_reaching_the_cap_raises_on_a_ring_with_a_free_generator():
     tower = PACKED_KINDS["z_tower"]  # x has no relation
     with pytest.raises(PresentationError):
         tower.element("x") ** 2**61
-    # a bounded ring takes any degree: everything above its bound is zero
+    # a bounded ring takes an element, a power or a single degree at any
+    # height, as everything above its bound is zero; a list of dimensions up
+    # to the cap has a length no list can reach, on every ring
     cube = Presentation(free.ring, [free.ring.parse("x^3")])
     assert cube.degree_bound == 2
     assert (cube.element("x") ** 2**70).is_zero()
@@ -875,6 +877,9 @@ def test_reaching_the_cap_raises_on_a_ring_with_a_free_generator():
     for degree in (3, 10**7, 2**62, 2**70):
         assert cube.dimension(degree) == 0
     assert cube._dims is None  # no walk and no list of a degree's length
+    for top in (2**62, 2**70):
+        with pytest.raises(PresentationError):
+            cube.dimensions(top)
 
 
 def test_elements_differ_from_polynomials_of_another_ring():
