@@ -158,13 +158,7 @@ def make_bundle(
     classes: Mapping[int, Element | Polynomial | str | int],
 ) -> BundleSpec:
     """Build a spec from a sparse ``{i: w_i}`` mapping; missing classes are 0."""
-    elems = []
-    for i in range(1, rank + 1):
-        value = classes.get(i, 0)
-        if isinstance(value, Element):
-            elems.append(value)
-        else:
-            elems.append(base.element(value))
+    elems = [base.element(classes.get(i, 0)) for i in range(1, rank + 1)]
     for i in classes:
         if not (1 <= i <= rank):
             raise BundleError(f"class index {i} outside 1..{rank}")

@@ -35,7 +35,7 @@ from .bundles import (
     q_tilde_ring,
     reduce_mod2,
 )
-from .polyalg import Coeffs, Polynomial
+from .polyalg import Coeffs, ExpVec
 from .ringquot import (
     Element,
     Presentation,
@@ -200,21 +200,14 @@ def _divisible_by_top_class(b: BundleSpec, target: Element) -> bool:
     wtop = b.w(b.rank)
     if wtop.is_zero():
         return False
-    degree = target.degree()
-    tgt_basis = base.standard_monomials(degree)
-    index = {m: i for i, m in enumerate(tgt_basis)}
-    columns = []
-    for m in base.standard_monomials(degree - b.rank):
-        product = base.element(Polynomial(base.ring, {m: 1})) * wtop
-        mask = 0
-        for exps in product.poly.terms:
-            mask |= 1 << index[exps]
-        columns.append(mask)
-    target_mask = 0
-    for exps in target.poly.terms:
-        mask = 1 << index[exps]
-        target_mask |= mask
-    return _f2_in_span(columns, target_mask)
+    index: dict[ExpVec, int] = {}  # a bit per monomial, numbered on first sight
+
+    def bits(e: Element) -> int:
+        return sum(1 << index.setdefault(exps, len(index)) for exps in e.poly.terms)
+
+    columns = [bits(base.element(base.ring.monomial(m)) * wtop)
+               for m in base.standard_monomials(target.degree() - b.rank)]
+    return _f2_in_span(columns, bits(target))
 
 
 @lru_cache(maxsize=None)

@@ -212,13 +212,8 @@ class Polynomial:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _check(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
-            raise RingMismatchError("polynomials belong to different rings")
-
     def __add__(self, other: "Polynomial | int") -> "Polynomial":
         other = self._coerce(other)
-        self._check(other)
         out = dict(self._terms)
         for exps, c in other._terms.items():
             out[exps] = out.get(exps, 0) + c
@@ -226,7 +221,6 @@ class Polynomial:
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
         other = self._coerce(other)
-        self._check(other)
         out = dict(self._terms)
         for exps, c in other._terms.items():
             out[exps] = out.get(exps, 0) - c
@@ -237,7 +231,6 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         other = self._coerce(other)
-        self._check(other)
         out: dict[ExpVec, int] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
@@ -255,7 +248,10 @@ class Polynomial:
         return power(self, exponent, self.ring.one())
 
     def _coerce(self, other: "Polynomial | int") -> "Polynomial":
+        """``other`` in this ring: an int is a constant; another ring raises."""
         if isinstance(other, Polynomial):
+            if other.ring != self.ring:
+                raise RingMismatchError("polynomials belong to different rings")
             return other
         if isinstance(other, int):
             return self.ring.const(other)

@@ -37,9 +37,9 @@ is part of the ring being presented, not a computational shortcut.
 presentation.  Its reduced basis and its truncation's minimal monomials that
 no lead divides are a Groebner basis of the extended ideal, so they enter the
 completion finished and are never paired with each other: each such S-pair
-would reduce to zero.  Only the new relations are reduced and paired; when
-each new lead is a pure power of a new generator, all their pairs have coprime
-leads and none is queued.
+would reduce to zero.  Only the new relations are paired: when each new lead
+is a pure power of a new generator, all their leads are coprime and no pair
+is queued.  The last pass still reduces every tail, the finished ones too.
 
 Every monomial is packed into one int, the packed exponent vector of
 Bachmann and Schoenemann (ISSAC '98): exponent i fills field i of ``width``
@@ -95,7 +95,7 @@ from itertools import count
 from operator import le, mul
 from typing import Iterator, Mapping, Sequence
 
-from .polyalg import Coeffs, ExpVec, PolyRing, Polynomial, RingMismatchError, power
+from .polyalg import Coeffs, ExpVec, ParseError, PolyRing, Polynomial, RingMismatchError, power
 
 
 class Strategy(Enum):
@@ -216,7 +216,7 @@ class Presentation:
 
         Without a truncation this must be a monic tower, and so is the result;
         with one, the result is an F2 presentation completed from this ring's
-        basis as it is, pairing and reducing only ``relations``.
+        basis as it is, pairing only ``relations``.
         """
         if truncation is None and self.truncation is not None:
             raise PresentationError("extending a truncated ring requires a truncation degree")
@@ -255,11 +255,21 @@ class Presentation:
         if self.degree_bound is None and degree >= _CAP:
             raise PresentationError(f"degree {degree} reaches the cap 2^62 of an unbounded ring")
 
-    def element(self, p: "Polynomial | str | int") -> "Element":
+    def element(self, p: "Element | Polynomial | str | int") -> "Element":
+        """``p`` in this presentation, the one way an operand enters it: an
+        ``Element`` of this or an equal presentation as it is; a ``Polynomial``
+        of the ring, a string or an int reduced.  Else ``RingMismatchError``
+        for another ring or presentation, ``ParseError`` or ``TypeError``."""
+        if isinstance(p, Element):
+            if p.pres is not self and p.pres != self:
+                raise RingMismatchError("elements belong to different presentations")
+            return p
         if isinstance(p, str):
             p = self.ring.parse(p)
         elif isinstance(p, int):
             p = self.ring.const(p)
+        elif not isinstance(p, Polynomial):
+            raise TypeError(f"cannot make an element of {type(p).__name__}")
         if p.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
         self._check_cap(p.degree())
@@ -599,7 +609,9 @@ class Element:
     """An element of a presented quotient ring, kept packed in normal form.
 
     ``_terms`` maps monomials packed at the presentation's width to nonzero
-    coefficients (1 over F2); ``poly`` unpacks them on first read.
+    coefficients (1 over F2); ``poly`` unpacks them on first read.  The right
+    operand of ``+``, ``-``, ``*`` and ``==`` enters through
+    ``Presentation.element``, and ``==`` is False where that raises.
     """
 
     __slots__ = ("pres", "_terms", "_poly")
@@ -615,16 +627,9 @@ class Element:
             self._poly = self.pres._unpacked(self._terms)
         return self._poly
 
-    def _coerce(self, other: "Element | Polynomial | int") -> "Element":
-        if not isinstance(other, Element):
-            return self.pres.element(other)
-        if other.pres is not self.pres and other.pres != self.pres:
-            raise RingMismatchError("elements belong to different presentations")
-        return other
-
-    def _merge(self, other: "Element | Polynomial | int", sign: int) -> "Element":
+    def _merge(self, other: "Element | Polynomial | str | int", sign: int) -> "Element":
         """self + sign * other.  A sum of normal forms is a normal form."""
-        other = self._coerce(other)
+        other = self.pres.element(other)
         if self.pres.ring.coeffs is Coeffs.F2:
             return Element(self.pres, dict.fromkeys(self._terms.keys() ^ other._terms.keys(), 1))
         out = dict(self._terms)
@@ -636,10 +641,10 @@ class Element:
                 del out[m]
         return Element(self.pres, out)
 
-    def __add__(self, other: "Element | Polynomial | int") -> "Element":
+    def __add__(self, other: "Element | Polynomial | str | int") -> "Element":
         return self._merge(other, 1)
 
-    def __sub__(self, other: "Element | Polynomial | int") -> "Element":
+    def __sub__(self, other: "Element | Polynomial | str | int") -> "Element":
         return self._merge(other, -1)
 
     def __neg__(self) -> "Element":
@@ -647,8 +652,8 @@ class Element:
             return self
         return Element(self.pres, {m: -c for m, c in self._terms.items()})
 
-    def __mul__(self, other: "Element | Polynomial | int") -> "Element":
-        other = self._coerce(other)
+    def __mul__(self, other: "Element | Polynomial | str | int") -> "Element":
+        other = self.pres.element(other)
         pres = self.pres
         if pres.degree_bound is None:
             pres._check_cap(self.degree() + other.degree())
@@ -676,12 +681,9 @@ class Element:
         return max(self._terms, default=0) >> (self.pres.ring.ngens * self.pres._width)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial) and other.ring != self.pres.ring:
-            return False
-        if isinstance(other, (int, Polynomial)):
+        try:
             other = self.pres.element(other)
-        if not isinstance(other, Element) or (
-                other.pres is not self.pres and other.pres != self.pres):
+        except (TypeError, RingMismatchError, ParseError):
             return False
         return self._terms == other._terms
 

@@ -104,12 +104,31 @@ def test_base_generator_names_reserved_for_fibre_classes():
 
 
 def test_disconnected_base_rejected():
-    # a presentation whose degree-0 part is not one-dimensional cannot happen
-    # with homogeneous positive-degree generators; the guard is the w(0) = 1
-    # convention instead
+    # a base whose degree-0 part vanishes is rejected by
+    # test_bundle_spec_rejects_its_base_or_classes; here the w(0) = 1 and
+    # w(i > rank) = 0 conventions
     b = trivial_bundle(KField.R, 3)
     assert b.w(0) == b.base.one()
     assert b.w(5).is_zero()
+
+
+def _disconnected_base() -> Presentation:
+    # the relation 1 kills every degree, degree 0 too: ``relation 1`` with a
+    # ``truncation`` in a spec's [base] builds this
+    ring = PolyRing(Coeffs.F2, [("x", 1)])
+    return Presentation(ring, [ring.one()], truncation=3)
+
+
+@pytest.mark.parametrize("base, classes, message", [
+    (_disconnected_base, lambda base: [base.zero()] * 2, "must be connected"),
+    (lambda: rp_base(3), lambda base: [base.zero()] * 3, "need 2 classes"),
+    (lambda: rp_base(3), lambda base: [rp_base(4).element("x"), base.zero()],
+     "class w_1 does not live in the base"),
+])
+def test_bundle_spec_rejects_its_base_or_classes(base, classes, message):
+    base = base()
+    with pytest.raises(BundleError, match=message):
+        BundleSpec(KField.R, 2, base, classes(base))
 
 
 def test_bundle_equality_and_hash():

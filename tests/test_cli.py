@@ -12,7 +12,6 @@ import pytest
 import tcbundles
 from tcbundles import Coeffs, KField, PolyRing, render_polynomial
 from tcbundles.cli import main, parse_spec_file, run_criteria
-from tcbundles.geomplan import MAX_SAMPLE_COORDINATES
 from tcbundles import bundles, obstruct
 from tcbundles.obstruct import (feder_of, grassmann_of, projective_of, q_tilde_of,
                                 sphere_quotient_ring)
@@ -127,6 +126,15 @@ def test_criteria_human_output(capsys):
     assert "proj_pair_f2: nonzero at k=6, witness S^3*T^3; zero at k=7" in out
     assert "integral sphere criteria" in out
     assert "note: cohomology shadow only" in out
+
+
+def test_criteria_human_output_names_a_search_without_vanishing(capsys):
+    code, out, err = run_cli(capsys, "criteria", MILNOR, "--kmax", "3")
+    assert code == 0 and err == ""
+    assert "search bound k_max = 3" in out
+    assert "proj_pair_f2: no vanishing up to k=3, witness T^3 + S*T^2 + S^2*T + S^3" in out
+    assert "symm_proj: no vanishing up to k=3, witness Y^2*X + Y^3" in out
+    assert out.count("no vanishing up to k=3") == 2
 
 
 def test_criteria_machine_output_is_deterministic(capsys):
@@ -530,6 +538,8 @@ def test_planner_needs_a_positive_sphere_dimension(capsys):
 
 
 def test_planner_rejects_sizes_above_the_coordinate_cap(capsys):
+    from tcbundles.geomplan import MAX_SAMPLE_COORDINATES  # needs numpy
+
     # each case is refused before anything is drawn: 5 x 10^9 sample
     # coordinates, 4 over the cap, and a 10^4 x 10^4 rotation
     just_over = str(MAX_SAMPLE_COORDINATES // 4 + 1)

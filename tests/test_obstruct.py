@@ -461,6 +461,12 @@ def test_disagreeing_route_raises_at_the_first_mismatch(monkeypatch):
         first_vanishing(symm_proj_powers(b), default_k_max(b))
 
 
+@pytest.mark.parametrize("test", [sphere_divisibility_test, symm_sphere_test])
+def test_per_k_tests_reject_a_negative_k(test):
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        test(trivial_bundle(KField.R, 3), -1)
+
+
 def test_default_k_max_reaches_the_nilpotency_degree():
     # every criterion ring with a finite top degree kills its Euler class by
     # top // deg e + 1, and the default bound is never below that
@@ -477,6 +483,9 @@ def test_default_k_max_reaches_the_nilpotency_degree():
 
 def test_default_k_max_rule():
     assert default_k_max(trivial_bundle(KField.C, 3)) == 14
+    # an untruncated free base has no top degree: 2 * rank * d + 2
+    assert default_k_max(make_bundle(KField.C, 2, free_presentation(
+        Coeffs.INT, [("c1", 2), ("c2", 4)]), {1: "c1", 2: "c2"})) == 2 * 2 * 2 + 2
     assert default_k_max(rp4_line_bundle()) == max(2 * 2 + 2, 3 + 2 * 2 - 2)
     base = truncated_base([("a", 1), ("b", 1), ("c", 2)], 8)
     b = make_bundle(KField.R, 3, base, {1: "a+b", 2: "a*b+c", 3: "a*c"})

@@ -49,6 +49,21 @@ def test_add_ring_mismatch():
         f2("T") + zz("T")
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_every_operator_converts_and_checks_its_operand_in_one_rule(op):
+    run = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}[op]
+    t = zz("T")
+    assert run(t, 3) == run(t, ST_Z.const(3))  # an int is a constant
+    equal_ring = PolyRing(Coeffs.INT, [("S", 2), ("T", 2)])
+    assert run(t, equal_ring.gen("T")) == run(t, zz("T"))  # an equal ring is the same ring
+    with pytest.raises(RingMismatchError):
+        run(t, f2("T"))
+    with pytest.raises(RingMismatchError):
+        run(t, PolyRing(Coeffs.INT, [("S", 2)]).gen("S"))
+    with pytest.raises(TypeError):
+        run(t, 1.5)
+
+
 # -- multiplication -----------------------------------------------------------
 
 

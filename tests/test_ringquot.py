@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from tcbundles import (
     Coeffs,
+    KField,
     ModuleBasisError,
+    ParseError,
     Polynomial,
     PolyRing,
     Presentation,
     PresentationError,
+    RingMismatchError,
     Strategy,
     free_presentation,
+    make_bundle,
     point_presentation,
 )
 from tcbundles.ringquot import (
@@ -175,6 +179,76 @@ def test_element_cross_presentation_mismatch():
     b = milnor_ring(3).element("T")
     with pytest.raises((PresentationError, RingMismatchError)):
         a + b
+
+
+def cube_ring() -> Presentation:
+    """F2[x]/(x^3), built afresh: each call gives an equal, distinct presentation."""
+    ring = PolyRing(Coeffs.F2, [("x", 1)])
+    return Presentation(ring, [ring.parse("x^3")])
+
+
+# Every way an operand enters a presentation, applied to x in F2[x]/(x^3)
+OPERAND_ENTRIES = {
+    "element": lambda e, op: e.pres.element(op),
+    "+": lambda e, op: e + op,
+    "*": lambda e, op: e * op,
+    "==": lambda e, op: e == op,
+    "make_bundle": lambda e, op: make_bundle(KField.R, 2, e.pres, {1: op}).w(1),
+}
+# what each entry gives for an operand equal to x, and for the int 0
+OPERAND_RESULTS = {
+    "element": ("x", "0"),
+    "+": ("0", "x"),
+    "*": ("x^2", "0"),
+    "==": (True, False),
+    "make_bundle": ("x", "0"),
+}
+# each operand kind, and the error it raises (None: it is taken)
+OPERAND_KINDS = {
+    "same element": (lambda e: e, None),
+    "equal presentation's element": (lambda e: cube_ring().element("x"), None),
+    "foreign element": (
+        lambda e: Presentation(e.pres.ring, [e.pres.ring.parse("x^4")]).element("x"),
+        RingMismatchError),
+    "same-ring polynomial": (lambda e: e.pres.ring.gen("x"), None),
+    "other-ring polynomial": (
+        lambda e: PolyRing(Coeffs.F2, [("x", 1), ("y", 1)]).gen("x"), RingMismatchError),
+    "string": (lambda e: "x", None),
+    "bad string": (lambda e: "x +", ParseError),
+    "int": (lambda e: 0, None),
+    "other type": (lambda e: 1.5, TypeError),
+}
+
+
+@pytest.mark.parametrize("kind", OPERAND_KINDS)
+@pytest.mark.parametrize("entry", OPERAND_ENTRIES)
+def test_every_entry_takes_each_operand_kind_by_one_rule(entry, kind):
+    e = cube_ring().element("x")
+    make, error = OPERAND_KINDS[kind]
+    operand = make(e)
+    run = OPERAND_ENTRIES[entry]
+    if error is not None and entry == "==":
+        assert run(e, operand) is False
+        assert e != operand
+    elif error is not None:
+        with pytest.raises(error):
+            run(e, operand)
+    else:
+        got = run(e, operand)
+        want = OPERAND_RESULTS[entry][kind == "int"]
+        if entry == "==":
+            assert got is want
+        else:
+            assert str(got) == want and got.pres == e.pres
+        if entry == "element" and kind.endswith("element"):
+            assert got is operand  # an element of an equal presentation is kept
+
+
+def test_relation_from_another_ring_rejected():
+    ring = PolyRing(Coeffs.F2, [("x", 1)])
+    other = PolyRing(Coeffs.F2, [("y", 1)])
+    with pytest.raises(PresentationError, match="relation lives in a different ring"):
+        Presentation(ring, [other.parse("y^2")], truncation=3)
 
 
 # -- strategy validation ----------------------------------------------------------
