@@ -35,7 +35,7 @@ from .bundles import (
     q_tilde_ring,
     reduce_mod2,
 )
-from .polyalg import Coeffs, ExpVec
+from .polyalg import Coeffs
 from .ringquot import (
     Element,
     Presentation,
@@ -200,10 +200,10 @@ def _divisible_by_top_class(b: BundleSpec, target: Element) -> bool:
     wtop = b.w(b.rank)
     if wtop.is_zero():
         return False
-    index: dict[ExpVec, int] = {}  # a bit per monomial, numbered on first sight
+    index: dict[int, int] = {}  # a bit per packed monomial of base, numbered on first sight
 
     def bits(e: Element) -> int:
-        return sum(1 << index.setdefault(exps, len(index)) for exps in e.poly.terms)
+        return sum(1 << index.setdefault(m, len(index)) for m in e._terms)
 
     columns = [bits(base.element(base.ring.monomial(m)) * wtop)
                for m in base.standard_monomials(target.degree() - b.rank)]

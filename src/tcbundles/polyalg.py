@@ -157,6 +157,8 @@ class Polynomial:
     """Immutable sparse polynomial: a map from exponent vectors to coefficients.
 
     Zero coefficients are never stored; F2 coefficients are reduced to 1.
+    ``==`` is True only for a polynomial of the same ring with the same terms:
+    unlike ``+``, ``-`` and ``*`` it takes no int, so ``ring.one() != 1``.
     """
 
     __slots__ = ("ring", "_terms", "_hash")
@@ -212,19 +214,19 @@ class Polynomial:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: "Polynomial | int") -> "Polynomial":
+    def _merge(self, other: "Polynomial | int", sign: int) -> "Polynomial":
+        """self + sign * other."""
         other = self._coerce(other)
         out = dict(self._terms)
         for exps, c in other._terms.items():
-            out[exps] = out.get(exps, 0) + c
+            out[exps] = out.get(exps, 0) + sign * c
         return Polynomial(self.ring, out)
 
+    def __add__(self, other: "Polynomial | int") -> "Polynomial":
+        return self._merge(other, 1)
+
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
-        other = self._coerce(other)
-        out = dict(self._terms)
-        for exps, c in other._terms.items():
-            out[exps] = out.get(exps, 0) - c
-        return Polynomial(self.ring, out)
+        return self._merge(other, -1)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, {e: -c for e, c in self._terms.items()})
@@ -289,18 +291,13 @@ class Polynomial:
     # -- identity ----------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self == self.ring.const(other)
-        return (
-            isinstance(other, Polynomial)
-            and self.ring == other.ring
-            and self._terms == other._terms
-        )
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            items = tuple(sorted(self._terms.items()))
-            self._hash = hash((self.ring, items))
+            self._hash = hash((self.ring, frozenset(self._terms.items())))
         return self._hash
 
     def __repr__(self) -> str:

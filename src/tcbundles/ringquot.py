@@ -95,7 +95,7 @@ from itertools import count
 from operator import le, mul
 from typing import Iterator, Mapping, Sequence
 
-from .polyalg import Coeffs, ExpVec, ParseError, PolyRing, Polynomial, RingMismatchError, power
+from .polyalg import Coeffs, ExpVec, PolyRing, Polynomial, RingMismatchError, power
 
 
 class Strategy(Enum):
@@ -610,8 +610,10 @@ class Element:
 
     ``_terms`` maps monomials packed at the presentation's width to nonzero
     coefficients (1 over F2); ``poly`` unpacks them on first read.  The right
-    operand of ``+``, ``-``, ``*`` and ``==`` enters through
-    ``Presentation.element``, and ``==`` is False where that raises.
+    operand of ``+``, ``-`` and ``*`` enters through ``Presentation.element``.
+    ``==`` converts nothing: it is True only for an ``Element`` of an equal
+    presentation, which packs alike, with the same packed terms; the hash
+    reads the same two.
     """
 
     __slots__ = ("pres", "_terms", "_poly")
@@ -681,14 +683,12 @@ class Element:
         return max(self._terms, default=0) >> (self.pres.ring.ngens * self.pres._width)
 
     def __eq__(self, other: object) -> bool:
-        try:
-            other = self.pres.element(other)
-        except (TypeError, RingMismatchError, ParseError):
-            return False
-        return self._terms == other._terms
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self._terms == other._terms and self.pres == other.pres
 
     def __hash__(self) -> int:
-        return hash((self.pres, self.poly))
+        return hash((self.pres, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"Element({self.poly})"

@@ -218,6 +218,8 @@ OPERAND_KINDS = {
     "int": (lambda e: 0, None),
     "other type": (lambda e: 1.5, TypeError),
 }
+# the kinds that ``element`` converts but ``==`` does not: they never equal an Element
+UNCONVERTED_BY_EQ = {"same-ring polynomial", "string"}
 
 
 @pytest.mark.parametrize("kind", OPERAND_KINDS)
@@ -227,7 +229,7 @@ def test_every_entry_takes_each_operand_kind_by_one_rule(entry, kind):
     make, error = OPERAND_KINDS[kind]
     operand = make(e)
     run = OPERAND_ENTRIES[entry]
-    if error is not None and entry == "==":
+    if entry == "==" and (error is not None or kind in UNCONVERTED_BY_EQ):
         assert run(e, operand) is False
         assert e != operand
     elif error is not None:
@@ -902,6 +904,56 @@ def test_untruncated_power_sequences_match_normal_forms():
     free = PACKED_KINDS["f2_free"]
     low = free.element("c^4 + a") - free.element("c^4")
     assert low == free.element("a") and hash(low) == hash(free.element("a"))
+
+
+# -- identity: == compares like with like, and equal objects hash alike --------------------
+
+
+def _twins() -> dict[str, tuple[Presentation, Presentation]]:
+    """An F2 tower, a Z tower and a truncated F2 ring, each with an equal, distinct twin."""
+    again = _packed_kinds()
+    twins = {name: (PACKED_KINDS[name], again[name]) for name in ("z_tower", "f2_truncated")}
+    return {"f2_tower": (milnor_ring(3), milnor_ring(3)), **twins}
+
+
+TWINS = _twins()
+
+
+@st.composite
+def identity_operands(draw):
+    """``a``, a random Element of one of the three kinds or a random Polynomial
+    of its ring, and ``b``, an operand ``a`` might be taken to equal: ``a``
+    built again in the equal, distinct twin (its presentation or ring),
+    ``a.poly``, ``str(a)`` or a small int."""
+    pres, twin = TWINS[draw(st.sampled_from(sorted(TWINS)))]
+    ring = pres.ring
+    coeff = st.integers(0, 1) if ring.coeffs is Coeffs.F2 else st.integers(-3, 3)
+    exps = st.tuples(*[st.integers(0, 4 // d) for d in ring.degrees])
+    p = Polynomial(ring, draw(st.dictionaries(exps, coeff, max_size=3)))
+    if draw(st.booleans()):
+        a = pres.element(p)
+        copies = [twin.element(p), a.poly]
+    else:
+        a = p
+        copies = [Polynomial(twin.ring, p.terms)]
+    return a, draw(st.sampled_from([*copies, str(a)]) | st.integers(-2, 2))
+
+
+@given(identity_operands())
+def test_equal_operands_hash_alike(case):
+    a, b = case
+    assert (a == b) == (b == a) == (not a != b)
+    if a == b:
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_equality_converts_no_operand():
+    pres = cube_ring()
+    ring = pres.ring
+    e = pres.element("x")
+    assert e != "x" and e != ring.gen("x") and pres.one() != 1 and ring.one() != 1
+    assert len({e, "x", ring.gen("x"), cube_ring().element("x")}) == 3
+    assert len({ring.one(), 1, ring.const(1)}) == 2
 
 
 @pytest.mark.parametrize("seed", range(10))
