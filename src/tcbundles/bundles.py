@@ -23,7 +23,7 @@ the first relation in ``S, T`` and (Y, Z) for the planes.  Named Euler classes
 come back together with each presentation.  Each ring extends a completed
 one (``Presentation.extend``): the unordered-pairs ring the plane ring, the
 others the base.  The plane ring's module basis is verified degreewise by
-dimension counts, the unordered-pairs ring's by its leads.
+dimension counts, the unordered-pairs ring's by its packed leads.
 """
 
 from __future__ import annotations
@@ -303,7 +303,8 @@ def feder_ring(
     Adds ``X`` of degree 1 (Euler class of the swap line bundle) to ``plane``,
     the plane ring :func:`grassmann_ring` returns for ``b``, with the relation
     ``X (X^d + Y)``.  The result is free over the plane ring on ``1, X, ...,
-    X^d`` when its leads are the plane's and ``X^(d+1)``, which is checked.
+    X^d`` when its leads are the plane's and ``X^(d+1)``, which is checked on
+    the packed leads, so neither basis is unpacked.
     Returns ``(presentation, e_lambda, e_alpha, w_d_beta)``: ``X``,
     ``Y + X^d`` and ``Y``.
     """
@@ -311,8 +312,6 @@ def feder_ring(
     ring = plane.ring.with_generators([("X", 1)])
     x, y = ring.gen("X"), ring.gen("Y")
     pres = plane.extend(ring, [x ** (d + 1) + x * y], plane.truncation)
-    leads = {r.leading_exponents() for r in pres.relations}
-    if leads != {r.leading_exponents() + (0,) for r in plane.relations} | {
-            (0,) * plane.ring.ngens + (d + 1,)}:
+    if not pres.has_leads_of(plane, x ** (d + 1)):
         raise ModuleBasisError("pair ring is not free over the plane ring on 1, X, ..., X^d")
     return pres, pres.element(x), pres.element(y + x ** d), pres.element(y)

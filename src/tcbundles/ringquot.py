@@ -40,6 +40,11 @@ completion finished and are never paired with each other: each such S-pair
 would reduce to zero.  Only the new relations are paired: when each new lead
 is a pure power of a new generator, all their leads are coprime and no pair
 is queued.  The last pass still reduces every tail, the finished ones too.
+They enter packed: the old generators lead the new ring, so each basis
+monomial is re-spaced, its exponent fields and degree field moved to the new
+layout, and the truncation's monomials are built at the new width.  A monic
+tower enters through its relations instead, as its packed basis leaves out
+those above its box corner.
 
 Every monomial is packed into one int, the packed exponent vector of
 Bachmann and Schoenemann (ISSAC '98): exponent i fills field i of ``width``
@@ -66,7 +71,8 @@ carries into the next field, even above the bound, and with
 term above the bound.  Packing a vector whose exponents overflow their
 fields only sets more bits, so it too lands at or above the limit when its
 degree is above the bound.  ``_packed`` packs relations and elements, and
-``_unpacked`` gives ``relations`` and ``Element.poly``.
+``_unpacked`` gives ``Element.poly`` and, on first read, a truncated ring's
+``relations``: equality and hashing read the packed basis.
 
 Elements stay packed: an ``Element`` holds its normal form as a map from
 packed monomials to coefficients, at its presentation's width.  A product
@@ -92,7 +98,7 @@ from collections import Counter
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from itertools import count
-from operator import le, mul
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .polyalg import Coeffs, ExpVec, PolyRing, Polynomial, RingMismatchError, power
@@ -147,16 +153,17 @@ class Presentation:
 
     Instances are immutable.  The constructor validates the relations and
     completes them: without a truncation they must form a monic tower, stored
-    with leading coefficients +1; with one, over F2, they are stored as their
-    reduced Groebner basis up to the truncation.  ``strategy`` is deprecated
-    and ignored.  ``_known`` is private to ``extend``: a finished
-    basis in ``ring`` that enters the completion before ``relations``.
+    with leading coefficients +1; with one, over F2, they are stored packed as
+    their reduced Groebner basis up to the truncation, which ``relations``
+    unpacks when first read.  ``strategy`` is deprecated and ignored.
+    ``_known`` is private to ``extend``: a truncated presentation whose
+    generators lead ``ring``; its basis enters the completion finished.
     ``degree_bound`` is the degree above which the quotient is zero, or None
     when a generator has no relation.
     """
 
-    __slots__ = ("ring", "relations", "truncation", "degree_bound",
-                 "_width", "_limit", "_basis", "_dims", "_hash")
+    __slots__ = ("ring", "truncation", "degree_bound",
+                 "_width", "_limit", "_basis", "_relations", "_dims", "_hash")
 
     def __init__(
         self,
@@ -165,14 +172,16 @@ class Presentation:
         strategy: Strategy | None = None,
         truncation: int | None = None,
         *,
-        _known: Sequence[Polynomial] = (),
+        _known: "Presentation | None" = None,
     ):
         rels = _checked(ring, relations, truncation)
         self.ring = ring
         self.truncation = truncation
         self.degree_bound: int | None = truncation
+        self._relations: tuple[Polynomial, ...] | None = None
         if truncation is None:
-            rels = _tower_normalize(ring, [*_known, *rels])
+            rels = _tower_normalize(ring, rels)
+            self._relations = tuple(rels)
             if len(rels) == ring.ngens:  # a tower's box corner
                 self.degree_bound = sum((m - 1) * d for r in rels
                                         for m, d in zip(r.leading_exponents(), ring.degrees) if m)
@@ -183,16 +192,22 @@ class Presentation:
         # relations are homogeneous: one above the degree bound packs empty
         packed = [p for p in map(self._packed, rels) if p]
         if truncation is None:
-            self.relations = tuple(rels)
             basis = tuple(map(_lead_and_tail, packed))
         else:
-            known = [_lead_and_tail(p) for p in map(self._packed, _known) if p]
+            known = [] if _known is None else _known._respaced(self, guard)
             basis = _buchberger(known, packed, guard, self._limit, self._width, ring.degrees)
-            self.relations = tuple(self._unpacked({lead: 1, **dict(tail)}) for lead, tail in basis)
         self._basis = (guard, basis)
         # dimensions in degrees 0, 1, ..., filled by ``dimensions``
         self._dims: list[int] | None = None
         self._hash: int | None = None
+
+    @property
+    def relations(self) -> tuple[Polynomial, ...]:
+        """The normalized tower, or the reduced basis unpacked on first read."""
+        if self._relations is None:
+            basis = self._basis[1]
+            self._relations = tuple(self._unpacked({m: 1, **dict(t)}) for m, t in basis)
+        return self._relations
 
     @property
     def strategy(self) -> Strategy:
@@ -211,23 +226,55 @@ class Presentation:
 
     def extend(self, ring: PolyRing, relations: Sequence[Polynomial],
                truncation: int | None) -> "Presentation":
-        """This ring with the generators of ``ring``, which holds all of its
-        own, and the homogeneous ``relations`` in ``ring`` adjoined.
+        """This ring with new generators and the homogeneous ``relations`` in
+        ``ring`` adjoined; this ring's generators must lead ``ring``'s, in
+        order and at their degrees.
 
-        Without a truncation this must be a monic tower, and so is the result;
-        with one, the result is an F2 presentation completed from this ring's
-        basis as it is, pairing only ``relations``.
+        A monic tower enters through its relations, which must stay a tower
+        without a truncation.  A truncated ring requires one, and its packed
+        basis enters the completion as it is, re-spaced: only ``relations``
+        are paired.
         """
-        if truncation is None and self.truncation is not None:
+        n = self.ring.ngens
+        if ring.coeffs is not self.ring.coeffs or ring.generators()[:n] != self.ring.generators():
+            raise PresentationError("the old generators must lead the new ring at their degrees")
+        if self.truncation is None:
+            return Presentation(ring, [*(r.lift(ring) for r in self.relations), *relations],
+                                truncation=truncation)
+        if truncation is None:
             raise PresentationError("extending a truncated ring requires a truncation degree")
-        known = [r.lift(ring) for r in self.relations]
-        if self.truncation is not None and truncation > self.truncation:
-            leads = [r.leading_exponents() for r in known]
-            indices = [ring.index(name) for name in self.ring.names]
-            monomials = _truncation_monomials(ring, indices, self.truncation)
-            known += [ring.monomial(m) for m in monomials
-                      if not any(all(map(le, lead, m)) for lead in leads)]
-        return Presentation(ring, relations, truncation=truncation, _known=known)
+        return Presentation(ring, relations, truncation=truncation, _known=self)
+
+    def _respaced(self, target: "Presentation", guard: int) -> list[_BasisElement]:
+        """This truncated ring's basis up to ``target``'s truncation and, if
+        that is higher, this truncation's minimal monomials that no lead
+        divides, in the layout of ``target`` (guard bits ``guard``), an
+        extension.  Each exponent field and the degree field move to their
+        new places; no exponent kept exceeds ``target``'s truncation."""
+        n, width, new = self.ring.ngens, self._width, target._width
+        old_shift, shift = n * width, target.ring.ngens * new
+        low, mask = (1 << old_shift) - 1, (1 << width) - 1
+
+        def move(m: int) -> int:
+            fields = m & low if new == width else sum(
+                ((m >> i * width) & mask) << i * new for i in range(n))
+            return fields | (m >> old_shift) << shift
+
+        known = [(move(lead), tuple((move(e), c) for e, c in tail))
+                 for lead, tail in self._basis[1] if lead >> old_shift <= target.truncation]
+        if target.truncation > self.truncation:
+            known += [(m, ()) for m in _truncation_monomials(self.ring.degrees, self.truncation,
+                                                             new, shift)
+                      if m < target._limit
+                      and not any(((m | guard) - lead) & guard == guard for lead, _ in known)]
+        return known
+
+    def has_leads_of(self, base: "Presentation", monomial: Polynomial) -> bool:
+        """Whether this ring's leads, compared packed, are those of ``base``,
+        a truncated ring it extends, and ``monomial``."""
+        guard, basis = self._basis
+        want = {lead for lead, _ in base._respaced(self, guard)} | self._packed(monomial).keys()
+        return {lead for lead, _ in basis} == want
 
     # -- normal forms ----------------------------------------------------------
 
@@ -374,13 +421,14 @@ class Presentation:
         return (
             isinstance(other, Presentation)
             and self.ring == other.ring
-            and self.relations == other.relations
             and self.truncation == other.truncation
+            and self.degree_bound == other.degree_bound
+            and self._basis[1] == other._basis[1]
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ring, self.relations, self.truncation))
+            self._hash = hash((self.ring, self.truncation, self.degree_bound, self._basis[1]))
         return self._hash
 
     def __repr__(self) -> str:
@@ -422,26 +470,30 @@ def _checked(ring: PolyRing, relations: Sequence[Polynomial],
     return rels
 
 
-def _truncation_monomials(ring: PolyRing, indices: Sequence[int], bound: int) -> list[ExpVec]:
-    """Minimal monomials in the chosen generators of weighted degree > bound.
+def _truncation_monomials(degrees: Sequence[int], bound: int, width: int, shift: int) -> list[int]:
+    """Minimal monomials of weighted degree > bound in generators of these
+    degrees, the leading ones of a ring, packed with fields of ``width`` bits
+    and the degree field at ``shift``.
 
     These generate the ideal of everything above the bound, so they encode a
     semantic truncation as honest relations once new generators are adjoined.
     """
-    out: list[ExpVec] = []
+    out: list[int] = []
 
-    def rec(exps: list[int], pos: int, total: int) -> None:
-        if total > bound:  # minimal iff dropping any present generator lands at or below bound
-            if all(not exps[i] or total - ring.degrees[i] <= bound for i in indices):
-                out.append(tuple(exps))
-        elif pos < len(indices):
-            i = indices[pos]
-            for e in range((bound - total) // ring.degrees[i] + 2):
-                exps[i] = e
-                rec(exps, pos + 1, total + e * ring.degrees[i])
-            exps[i] = 0
+    def rec(m: int, pos: int, total: int, least: int) -> None:
+        # generator pos at each exponent that stays at or below the bound,
+        # then at the first one above it
+        d = degrees[pos]
+        top = (bound - total) // d + 1
+        if pos + 1 < len(degrees):
+            for e in range(top):
+                rec(m | e << pos * width, pos + 1, total + e * d, min(least, d) if e else least)
+        total += top * d
+        if total - min(least, d) <= bound:  # minimal: dropping any generator lands at or below
+            out.append(m | top << pos * width | total << shift)
 
-    rec([0] * ring.ngens, 0, 0)
+    if degrees:
+        rec(0, 0, 0, max(degrees))
     return out
 
 
@@ -482,9 +534,10 @@ _BasisElement = tuple[int, tuple[tuple[int, int], ...]]
 
 def _lead_and_tail(terms: Mapping[int, int]) -> _BasisElement:
     """Split a homogeneous packed polynomial: within one degree the largest
-    int is the graded-lex largest monomial."""
+    int is the graded-lex largest monomial.  The tail runs down from there,
+    so equal polynomials give equal elements."""
     lead = max(terms)
-    return lead, tuple((e, c) for e, c in terms.items() if e != lead)
+    return lead, tuple(sorted(((e, c) for e, c in terms.items() if e != lead), reverse=True))
 
 
 def _reduce(

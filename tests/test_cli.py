@@ -491,6 +491,22 @@ def test_criteria_completes_the_plane_ring_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_the_criteria_path_unpacks_no_truncated_basis():
+    # a truncated ring's relations are unpacked on first read, and no
+    # criterion reads them
+    caches = (projective_of, q_tilde_of, grassmann_of, feder_of, sphere_quotient_ring)
+    for cached in caches:
+        cached.cache_clear()
+    spec = parse_spec_file(str(ROOT / "tests/specs/truncated_r4_t12.spec"))
+    run_criteria(spec)
+    misses = [cached.cache_info().misses for cached in caches]
+    b = spec.bundle
+    rings = [b.base, sphere_quotient_ring(b), projective_of(b)[0], q_tilde_of(b, Coeffs.F2)[0],
+             grassmann_of(b)[0], feder_of(b)[0]]
+    assert [cached.cache_info().misses for cached in caches] == misses
+    assert all(pres.truncation is not None and pres._relations is None for pres in rings)
+
+
 # -- planner subcommand ----------------------------------------------------------------
 
 

@@ -25,7 +25,6 @@ from tcbundles import (
 from tcbundles.ringquot import (
     _guard,
     _pack,
-    _truncation_monomials,
     _unpack,
     _width,
     verify_cell_dimensions,
@@ -537,7 +536,7 @@ def test_truncated_base_with_a_fibre_relation_matches_sympy_and_oracles(seed):
     rng = random.Random(seed)
     ring = PolyRing(Coeffs.F2, [("a", 1), ("b", 1), ("t", 1)])
     bound, rank = rng.randint(2, 3), rng.randint(2, 3)
-    rels = [ring.monomial(m) for m in _truncation_monomials(ring, [0, 1], bound)]
+    rels = above_truncation(PolyRing(Coeffs.F2, [("a", 1), ("b", 1)]), ring, bound)
     fibre = ring.monomial((0, 0, rank))
     for i in range(1, rank + 1):
         base_monos = _monomials_of_degree(PolyRing(Coeffs.F2, [("a", 1), ("b", 1)]), i)
@@ -560,6 +559,16 @@ def random_relation(rng: random.Random, ring: PolyRing, degree: int) -> Polynomi
                              if rng.random() < 0.5})
 
 
+def above_truncation(base_ring: PolyRing, ring: PolyRing, bound: int) -> list[Polynomial]:
+    """The monomials of ``base_ring``, whose generators lead ``ring``, in
+    degrees bound + 1 .. bound + its largest generator degree, in ``ring``:
+    they generate the ideal of every base monomial above the bound."""
+    pad = (0,) * (ring.ngens - base_ring.ngens)
+    return [ring.monomial(m + pad)
+            for degree in range(bound + 1, bound + max(base_ring.degrees) + 1)
+            for m in _monomials_of_degree(base_ring, degree)]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_extend_equals_completing_the_raw_relations(seed):
     # new relations of any shape, in the new generator or in the base's own:
@@ -575,10 +584,75 @@ def test_extend_equals_completing_the_raw_relations(seed):
     ring = base_ring.with_generators([("t", rng.choice((1, 2)))])
     top = bound + rng.randint(0, 3)
     new = [random_relation(rng, ring, rng.randint(1, top)) for _ in range(rng.randint(1, 3))]
-    lifted = [r.lift(ring) for r in raw] + [
-        ring.monomial(m) for m in _truncation_monomials(ring, [0, 1], bound)]
+    lifted = [r.lift(ring) for r in raw] + above_truncation(base_ring, ring, bound)
     want = Presentation(ring, lifted + new, truncation=top)
     assert base.extend(ring, new, top) == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("bound", [3, 7])
+def test_extend_packs_the_truncation_monomials_at_the_new_width(bound, seed):
+    # a^(bound+1) fills the guard bit of a field at the base's width when
+    # bound + 1 is a power of 2: the monomials must be packed, and tested
+    # against the base relation's lead, at the new width
+    rng = random.Random(seed)
+    base_ring = PolyRing(Coeffs.F2, [("a", 1), ("b", 1)])
+    raw = [random_relation(rng, base_ring, rng.randint(2, bound))]
+    base = Presentation(base_ring, raw, truncation=bound)
+    ring = base_ring.with_generators([("t", 1)])
+    top = bound + rng.randint(1, 3)
+    new = [random_relation(rng, ring, rng.randint(1, top)) for _ in range(rng.randint(1, 2))]
+    lifted = [r.lift(ring) for r in raw] + above_truncation(base_ring, ring, bound)
+    want = Presentation(ring, lifted + new, truncation=top)
+    got = base.extend(ring, new, top)
+    assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extend_below_the_base_truncation_drops_the_basis_above_it(seed):
+    rng = random.Random(seed)
+    base_ring = PolyRing(Coeffs.F2, [("a", 1), ("b", rng.choice((1, 2)))])
+    raw = [random_relation(rng, base_ring, rng.randint(2, 4)) for _ in range(2)]
+    base = Presentation(base_ring, raw, truncation=6)
+    ring = base_ring.with_generators([("t", 1)])
+    top = rng.randint(2, 5)
+    new = [random_relation(rng, ring, rng.randint(1, top))]
+    want = Presentation(ring, [r.lift(ring) for r in raw] + new, truncation=top)
+    got = base.extend(ring, new, top)
+    assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("gens", [[("b", 1), ("a", 1), ("t", 1)],
+                                  [("t", 1), ("a", 1), ("b", 1)],
+                                  [("a", 1), ("b", 2), ("t", 1)],
+                                  [("a", 1), ("t", 1)]],
+                         ids=["swapped", "behind", "degree", "missing"])
+@pytest.mark.parametrize("truncation", [None, 3])
+def test_extend_requires_the_old_generators_to_lead_at_their_degrees(gens, truncation):
+    base_ring = PolyRing(Coeffs.F2, [("a", 1), ("b", 1)])
+    base = Presentation(base_ring, [base_ring.parse("a^2"), base_ring.parse("b^3")],
+                        truncation=truncation)
+    with pytest.raises(PresentationError, match="old generators must lead the new ring"):
+        base.extend(PolyRing(Coeffs.F2, gens), [], 4)
+
+
+def test_extend_keeps_the_coefficients():
+    zring = PolyRing(Coeffs.INT, [("a", 2)])
+    base = Presentation(zring, [zring.parse("a^2")])
+    with pytest.raises(PresentationError, match="old generators must lead the new ring"):
+        base.extend(zring.to_f2().with_generators([("t", 1)]), [], 4)
+
+
+def test_truncated_extension_of_a_tower_keeps_its_relations_above_the_box_corner():
+    # F2[x]/(x^2) has its box corner in degree 1, so its packed basis leaves
+    # x^2 out; the tower enters an extension through its relations
+    base_ring = PolyRing(Coeffs.F2, [("x", 1)])
+    base = Presentation(base_ring, [base_ring.parse("x^2")])
+    ring = base_ring.with_generators([("y", 1)])
+    pres = base.extend(ring, [], 3)
+    assert pres.relations == (ring.parse("x^2"),)
+    assert pres.element("x^2").is_zero()
+    assert pres.dimensions(3) == [1, 2, 2, 2]
 
 
 def test_extend_leaves_out_base_relations_above_the_truncation():
