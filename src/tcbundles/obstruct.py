@@ -217,7 +217,7 @@ def sphere_quotient_ring(b: BundleSpec) -> Presentation:
     wtop = b.w(b.rank)
     if wtop.is_zero():
         return b.base
-    return b.base.extend(b.base.ring, [wtop.poly], max(1, _degree_bound(b.base)))
+    return b.base.extend(b.base.ring, [wtop.poly], _degree_bound(b.base))
 
 
 def sphere_powers(b: BundleSpec) -> Iterator[Element]:

@@ -262,28 +262,17 @@ class Polynomial:
     # -- ring maps --------------------------------------------------------------
 
     def lift(self, target: PolyRing) -> "Polynomial":
-        """Reinterpret in a larger ring containing the same named generators."""
-        if target.coeffs is not self.ring.coeffs:
-            raise RingMismatchError("lift cannot change the coefficient ring")
-        positions = []
-        for name, degree in self.ring.generators():
-            j = target.index(name)
-            if target.degrees[j] != degree:
-                raise RingMismatchError(f"generator {name!r} changes degree in lift")
-            positions.append(j)
-        out: dict[ExpVec, int] = {}
-        for exps, c in self._terms.items():
-            tgt = [0] * target.ngens
-            for pos, e in zip(positions, exps):
-                tgt[pos] = e
-            key = tuple(tgt)
-            out[key] = out.get(key, 0) + c
-        return Polynomial(target, out)
+        """This polynomial in ``target``, whose coefficients are this ring's and
+        whose generators begin with this ring's, in order and at their degrees:
+        each exponent vector is padded with zeros.  Else ``RingMismatchError``."""
+        ring, n = self.ring, self.ring.ngens
+        if target.coeffs is not ring.coeffs or target.generators()[:n] != ring.generators():
+            raise RingMismatchError("lift needs a target that begins with this ring's generators")
+        pad = (0,) * (target.ngens - n)
+        return Polynomial(target, {exps + pad: c for exps, c in self._terms.items()})
 
-    def mod2(self, target: PolyRing | None = None) -> "Polynomial":
+    def mod2(self, target: PolyRing) -> "Polynomial":
         """Reduce coefficients mod 2 into the F2 ring with the same generators."""
-        if target is None:
-            target = self.ring.to_f2()
         if target.generators() != self.ring.generators() or target.coeffs is not Coeffs.F2:
             raise RingMismatchError("mod2 target must be the F2 ring on the same generators")
         return Polynomial(target, dict(self._terms))

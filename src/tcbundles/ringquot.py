@@ -27,7 +27,7 @@ the way, and a ``Strategy`` passed to the constructor is ignored:
     to the truncation degree.  Minimality is found on insertion: a new lead
     marks every earlier lead it divides.  One pass of inter-reduction then
     gives the unique reduced basis: keep the unmarked elements, and reduce
-    each tail once against them.
+    each non-empty tail once against them.
 
 A presentation may carry a ``truncation`` degree: every element of weighted
 degree above it is zero in the quotient.  The truncation is semantic, i.e. it
@@ -39,12 +39,11 @@ no lead divides are a Groebner basis of the extended ideal, so they enter the
 completion finished and are never paired with each other: each such S-pair
 would reduce to zero.  Only the new relations are paired: when each new lead
 is a pure power of a new generator, all their leads are coprime and no pair
-is queued.  The last pass still reduces every tail, the finished ones too.
-They enter packed: the old generators lead the new ring, so each basis
-monomial is re-spaced, its exponent fields and degree field moved to the new
-layout, and the truncation's monomials are built at the new width.  A monic
-tower enters through its relations instead, as its packed basis leaves out
-those above its box corner.
+is queued.  They enter packed: the old generators lead the new ring, so
+each basis monomial is re-spaced, its exponent fields and degree field
+moved to the new layout, and the truncation's monomials are built at the
+new width.  A monic tower enters through its relations instead, as its
+packed basis leaves out those above its box corner.
 
 Every monomial is packed into one int, the packed exponent vector of
 Bachmann and Schoenemann (ISSAC '98): exponent i fills field i of ``width``
@@ -97,7 +96,6 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from itertools import count
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
@@ -591,70 +589,72 @@ def _buchberger(
     All is packed in the layout (``width``, ``guard``, ``limit``) of the
     presentation being built.  ``relations`` are packed polynomials, consumed,
     without their terms above the truncation.  ``known``, a Groebner basis up
-    to the truncation in which no lead divides another, enters first as basis
-    elements, as it is, and is never paired with itself (``Presentation.extend``).
+    to the truncation in which no lead divides another, starts the basis as
+    it is and is never paired with itself (``Presentation.extend``).
 
-    Each S-pair is keyed once, when it is created, by (degree field of the
-    packed lcm of its leads, minus its creation number), and waits in a
-    heap: pairs pop lowest degree first and, within a degree, newest first.
-    A pair is never queued when both elements are monomials (checked before
-    a creation number is taken, so the other pairs keep their order), when
-    its leads are coprime (Buchberger's first criterion, one AND of the
-    leads' generator bitmasks) or when their lcm lies above the truncation:
-    each S-polynomial is zero or reduces to zero.
+    Each S-pair of elements k < j is keyed once, when j enters, by (degree
+    field of the packed lcm of their leads, -j, -k), and waits in a heap:
+    pairs pop lowest degree first and, within a degree, newest first.  A pair
+    is never queued when both elements are monomials, when its leads are
+    coprime (Buchberger's first criterion) or when their lcm lies above the
+    truncation: each S-polynomial is zero or reduces to zero.  A lead's
+    generators are marked on the packed lead, ``((lead & low) + fill) &
+    guard`` with 2^(width-1) - 1 in each field of ``fill``, exact as no
+    exponent reaches its guard bit; coprimality is one AND of two marks, and
+    a lead is unpacked only for a pair that needs its lcm.
 
     Each new element is fully reduced by all before it, so only a later lead
     can divide an earlier one, and ``add`` marks every earlier element whose
     lead the new lead divides.  Dropping the marked ones leaves a minimal
-    basis with the same leading ideal; each remaining tail is reduced once
-    against it.  That is the unique reduced basis up to the truncation.
+    basis with the same leading ideal; each remaining non-empty tail is
+    reduced once against it.  That is the unique reduced basis up to the
+    truncation.
     """
     n = len(degrees)
     shift = n * width
-    basis: list[_BasisElement] = []
-    leads: list[tuple[ExpVec, int]] = []  # unpacked lead and its generator bitmask
+    low = (1 << shift) - 1  # every exponent field, no degree field
+    fill = guard - (guard >> (width - 1))
+    basis = list(known)
     redundant: set[int] = set()  # indices of elements whose lead a later lead divides
-    pairs: list[tuple[int, int, int, int, int]] = []
-    created = count()
+    pairs: list[tuple[int, int, int, int]] = []
 
-    def add(element: _BasisElement, paired: bool) -> None:
+    def add(element: _BasisElement) -> None:
         lead, tail = element
-        exps = _unpack(lead, n, width)
-        gens = sum(1 << i for i, x in enumerate(exps) if x)
-        for k, (other, other_tail) in enumerate(basis if paired else ()):
+        j = len(basis)
+        gens = ((lead & low) + fill) & guard  # the guard bit of each generator in lead
+        exps = None  # lead unpacked, once a pair needs an lcm
+        for k, (other, other_tail) in enumerate(basis):
             if ((other | guard) - lead) & guard == guard:
                 redundant.add(k)
             if not tail and not other_tail:
                 continue  # two monomials: the S-polynomial is zero
-            number = next(created)
-            other_exps, other_gens = leads[k]
-            if not gens & other_gens:
-                continue  # coprime leads
-            lcm = _pack(tuple(map(max, other_exps, exps)), width, degrees)
+            if not gens & ((other & low) + fill):
+                continue  # coprime leads: gens holds guard bits only
+            if exps is None:
+                exps = _unpack(lead, n, width)
+            lcm = _pack(tuple(map(max, _unpack(other, n, width), exps)), width, degrees)
             if lcm < limit:
-                heappush(pairs, (lcm >> shift, -number, lcm, k, len(basis)))
+                heappush(pairs, (lcm >> shift, -j, -k, lcm))
         basis.append(element)
-        leads.append((exps, gens))
 
-    for element in known:
-        add(element, False)
     for packed in relations:
         reduced = _reduce(packed, basis, guard, True)
         if reduced:
-            add(_lead_and_tail(reduced), True)
+            add(_lead_and_tail(reduced))
     while pairs:
-        _, _, lcm, i, j = heappop(pairs)
+        _, minus_j, minus_k, lcm = heappop(pairs)
         # the two leads both shift to lcm and cancel; _reduce takes the
         # merged tail counts mod 2
         spoly = Counter(e + lcm - lead
-                        for lead, tail in (basis[i], basis[j]) for e, _ in tail)
+                        for lead, tail in (basis[-minus_k], basis[-minus_j]) for e, _ in tail)
         reduced = _reduce(spoly, basis, guard, True)
         if reduced:
-            add(_lead_and_tail(reduced), True)
+            add(_lead_and_tail(reduced))
 
-    # no two leads are equal, so the elements sort by lead: graded-lex order
+    # no two leads are equal, so the elements sort by lead: graded-lex order;
+    # an empty tail stays empty
     minimal = sorted(el for k, el in enumerate(basis) if k not in redundant)
-    return tuple((lead, tuple(_reduce(dict(tail), minimal, guard, True).items()))
+    return tuple((lead, tail and tuple(_reduce(dict(tail), minimal, guard, True).items()))
                  for lead, tail in minimal)
 
 

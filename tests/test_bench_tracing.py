@@ -57,7 +57,13 @@ def test_tracer_rebinds_every_name_it_lists():
 
 @pytest.mark.parametrize("name", sorted(bench_module("workloads").WORKLOADS))
 def test_workload_inputs_build(name):
-    # what the harness's set_up does, then one pass's operations, not run
+    # what the harness's set_up does, then each operation of one pass the way
+    # the harness runs and checks it, untimed
     workload = bench_module("workloads").WORKLOADS[name](0, ROOT)
     ops = next(workload.passes())
     assert ops and {op.case for op in ops} == set(workload.cases)
+    for op in ops:
+        workload.before_op()
+        result = op.run()
+        status, notes = op.check(result, op.render(result))
+        assert status == "ok", (op.key, notes)

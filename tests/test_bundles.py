@@ -497,9 +497,34 @@ def test_feder_extends_the_completed_plane_without_pairs(monkeypatch, name):
     reduce = ringquot._reduce
     monkeypatch.setattr(ringquot, "_reduce", lambda *args: calls.append(1) or reduce(*args))
     pres = feder_ring(b, plane)[0]
-    # X^(d+1) + X*Y reduced once on entry, each tail once at the end and the
-    # three returned classes: no S-pair, and the plane is not completed again
-    assert len(calls) == 1 + len(pres.relations) + 3
+    # X^(d+1) + X*Y reduced once on entry, each non-empty tail once at the end
+    # and the three returned classes: no S-pair, and the plane is not
+    # completed again.  No tail in the plane's generators holds a multiple
+    # of X^(d+1), so no tail empties at the end.
+    tails = sum(len(r.terms) > 1 for r in pres.relations)
+    assert len(calls) == 1 + tails + 3
+
+
+def test_projective_and_pair_rings_complete_without_unpacking_a_lead(monkeypatch):
+    # every new lead is a power of a new generator, coprime to the truncated
+    # base's leads and to the other new lead: no pair needs an lcm, so the
+    # completion unpacks no lead, of the finished basis or a new one
+    b = FEDER_PANEL["truncated_r4_t12"]
+    completions, unpacked = [], []
+    unpack, buchberger = ringquot._unpack, ringquot._buchberger
+
+    def counted(*args):
+        completions.append(1)
+        monkeypatch.setattr(ringquot, "_unpack", lambda *a: unpacked.append(a) or unpack(*a))
+        try:
+            return buchberger(*args)
+        finally:
+            monkeypatch.setattr(ringquot, "_unpack", unpack)
+
+    monkeypatch.setattr(ringquot, "_buchberger", counted)
+    projective_ring(b)
+    q_tilde_ring(b)
+    assert len(completions) == 2 and unpacked == []
 
 
 def test_feder_complex_bundle_reduces_mod_two():

@@ -251,3 +251,12 @@ def test_pow_matches_naive(a, k):
 @given(st.sampled_from(list(Coeffs)).flatmap(lambda c: polynomials(c)))
 def test_parse_render_roundtrip(p):
     assert parse_polynomial(render_polynomial(p), p.ring) == p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(Coeffs)).flatmap(lambda c: polynomials(c)), st.integers(0, 3))
+def test_lift_pads_every_exponent_vector(p, extra):
+    ring = p.ring.with_generators([(f"h{i}", 2) for i in range(extra)])
+    lifted = p.lift(ring)
+    assert lifted.ring == ring
+    assert lifted.terms == {e + (0,) * extra: c for e, c in p.terms.items()}

@@ -622,11 +622,16 @@ def test_extend_below_the_base_truncation_drops_the_basis_above_it(seed):
     assert got == want and hash(got) == hash(want)
 
 
-@pytest.mark.parametrize("gens", [[("b", 1), ("a", 1), ("t", 1)],
-                                  [("t", 1), ("a", 1), ("b", 1)],
-                                  [("a", 1), ("b", 2), ("t", 1)],
-                                  [("a", 1), ("t", 1)]],
-                         ids=["swapped", "behind", "degree", "missing"])
+# generators of rings that F2[a:1, b:1] does not lead in order at their
+# degrees: neither ``extend`` nor ``lift`` takes them
+NOT_LED = pytest.mark.parametrize("gens", [[("b", 1), ("a", 1), ("t", 1)],
+                                           [("t", 1), ("a", 1), ("b", 1)],
+                                           [("a", 1), ("b", 2), ("t", 1)],
+                                           [("a", 1), ("t", 1)]],
+                                  ids=["swapped", "behind", "degree", "missing"])
+
+
+@NOT_LED
 @pytest.mark.parametrize("truncation", [None, 3])
 def test_extend_requires_the_old_generators_to_lead_at_their_degrees(gens, truncation):
     base_ring = PolyRing(Coeffs.F2, [("a", 1), ("b", 1)])
@@ -636,11 +641,34 @@ def test_extend_requires_the_old_generators_to_lead_at_their_degrees(gens, trunc
         base.extend(PolyRing(Coeffs.F2, gens), [], 4)
 
 
+@NOT_LED
+def test_lift_requires_the_old_generators_to_lead_at_their_degrees(gens):
+    base_ring = PolyRing(Coeffs.F2, [("a", 1), ("b", 1)])
+    with pytest.raises(RingMismatchError, match="begins with this ring's generators"):
+        base_ring.parse("a*b + b^2").lift(PolyRing(Coeffs.F2, gens))
+
+
 def test_extend_keeps_the_coefficients():
     zring = PolyRing(Coeffs.INT, [("a", 2)])
     base = Presentation(zring, [zring.parse("a^2")])
     with pytest.raises(PresentationError, match="old generators must lead the new ring"):
         base.extend(zring.to_f2().with_generators([("t", 1)]), [], 4)
+
+
+def test_lift_keeps_the_coefficients():
+    zring = PolyRing(Coeffs.INT, [("a", 2)])
+    with pytest.raises(RingMismatchError, match="begins with this ring's generators"):
+        zring.parse("a^2").lift(zring.to_f2().with_generators([("t", 1)]))
+
+
+def test_extend_reduces_a_finished_tail_by_a_new_lead():
+    # ab + a^2 enters finished; the new lead a^2 divides its tail, which the
+    # last pass must reduce away
+    ring = PolyRing(Coeffs.F2, [("a", 1), ("b", 1)])
+    base = Presentation(ring, [ring.parse("a*b + a^2")], truncation=4)
+    want = Presentation(ring, [ring.parse("a*b + a^2"), ring.parse("a^2")], truncation=4)
+    assert base.extend(ring, [ring.parse("a^2")], 4) == want
+    assert want.relations == (ring.parse("a^2"), ring.parse("a*b"))
 
 
 def test_truncated_extension_of_a_tower_keeps_its_relations_above_the_box_corner():
