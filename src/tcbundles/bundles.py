@@ -42,15 +42,17 @@ from .ringquot import (
 
 
 class KField(Enum):
-    """Scalar field of the bundle: reals, complexes or quaternions."""
+    """Scalar field of the bundle: reals, complexes or quaternions, each with
+    its real dimension ``d`` and its default coefficients ``coeffs``."""
 
-    R = ("R", 1)
-    C = ("C", 2)
-    H = ("H", 4)
+    R = ("R", 1, Coeffs.F2)
+    C = ("C", 2, Coeffs.INT)
+    H = ("H", 4, Coeffs.INT)
 
-    def __init__(self, tag: str, d: int):
+    def __init__(self, tag: str, d: int, coeffs: Coeffs):
         self.tag = tag
         self.d = d
+        self.coeffs = coeffs
 
     @classmethod
     def from_tag(cls, tag: str) -> "KField":
@@ -145,9 +147,7 @@ class BundleSpec:
 
 def trivial_bundle(field: KField, rank: int, coeffs: Coeffs | None = None) -> BundleSpec:
     """The trivial rank ``rank`` bundle over a point (all classes zero)."""
-    if coeffs is None:
-        coeffs = Coeffs.F2 if field is KField.R else Coeffs.INT
-    base = point_presentation(coeffs)
+    base = point_presentation(coeffs or field.coeffs)
     return BundleSpec(field, rank, base, [base.zero()] * rank)
 
 

@@ -192,8 +192,7 @@ def parse_spec_file(path: str, coeffs_override: Coeffs | None = None) -> ParsedS
         raise SpecFileError("missing 'field = R|C|H'", path)
     if rank is None:
         raise SpecFileError("missing 'rank = <integer>'", path)
-    coeffs = coeffs_override or values.get("coeffs") or (
-        Coeffs.F2 if field is KField.R else Coeffs.INT)
+    coeffs = coeffs_override or values.get("coeffs") or field.coeffs
 
     if truncation is not None and coeffs is not Coeffs.F2:
         raise SpecFileError(f"truncation needs coeffs = f2, got {coeffs.value.lower()}",

@@ -150,7 +150,7 @@ def feder_of(b: BundleSpec) -> tuple[Presentation, Element, Element, Element]:
 
 
 def _require_real_f2(b: BundleSpec, what: str) -> None:
-    if b.field is not KField.R or b.base.ring.coeffs is not Coeffs.F2:
+    if b.field is not KField.R:  # BundleSpec rejects a real bundle over Z
         raise BundleError(f"{what} applies to real bundles with F2 coefficients")
 
 

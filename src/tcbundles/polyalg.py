@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NoReturn, Sequence
 
 
 class Coeffs(Enum):
@@ -352,6 +352,9 @@ class _Parser:
         primary:= integer | name | '(' expr ')'
 
     Adjacent factors multiply implicitly, so ``2S*T^2`` and ``2*S*T^2`` agree.
+    A token is ``(kind, text, position)``, where the kind of a symbol is the
+    symbol itself.  The list ends with an ``("end", "", len(text))`` token, so
+    every error is raised at the position of the token the parser stands on.
     """
 
     def __init__(self, text: str, ring: PolyRing):
@@ -359,99 +362,66 @@ class _Parser:
         self.ring = ring
         self.tokens: list[tuple[str, str, int]] = []
         for m in _TOKEN_RE.finditer(text):
-            if m.group(1):
-                self.tokens.append(("int", m.group(1), m.start()))
-            elif m.group(2):
-                self.tokens.append(("name", m.group(2), m.start()))
-            elif m.group(3):
-                self.tokens.append(("sym", m.group(3), m.start()))
-            else:
-                raise ParseError(f"unexpected character {m.group(4)!r}", text, m.start())
+            if m.lastindex == 4:
+                raise ParseError(f"unexpected character {m.group()!r}", text, m.start())
+            kind = ("int", "name", m.group())[m.lastindex - 1]
+            self.tokens.append((kind, m.group(), m.start()))
+        self.tokens.append(("end", "", len(text)))
         self.pos = 0
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def fail(self, message: str) -> NoReturn:
+        raise ParseError(message, self.text, self.tokens[self.pos][2])
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text, len(self.text))
+    def take(self, *kinds: str) -> tuple[str, str, int] | None:
+        """Consume and return the next token if its kind is one of ``kinds``."""
+        tok = self.tokens[self.pos]
+        if tok[0] not in kinds:
+            return None
         self.pos += 1
         return tok
 
-    def expect_sym(self, sym: str) -> None:
-        tok = self.peek()
-        if tok is None or tok[0] != "sym" or tok[1] != sym:
-            where = tok[2] if tok else len(self.text)
-            raise ParseError(f"expected {sym!r}", self.text, where)
-        self.pos += 1
-
     def parse(self) -> Polynomial:
         result = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError("trailing input", self.text, tok[2])
+        if not self.take("end"):
+            self.fail("trailing input")
         return result
 
     def expr(self) -> Polynomial:
-        negate = False
-        tok = self.peek()
-        if tok is not None and tok[0] == "sym" and tok[1] == "-":
-            self.pos += 1
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "sym" or tok[1] not in "+-":
-                return acc
-            self.pos += 1
+        acc = -self.term() if self.take("-") else self.term()
+        while tok := self.take("+", "-"):
             rhs = self.term()
-            acc = acc + rhs if tok[1] == "+" else acc - rhs
+            acc = acc + rhs if tok[0] == "+" else acc - rhs
+        return acc
 
     def term(self) -> Polynomial:
         acc = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return acc
-            kind, value, _ = tok
-            if kind == "sym" and value == "*":
-                self.pos += 1
-                acc = acc * self.factor()
-            elif kind in ("int", "name") or (kind == "sym" and value == "("):
-                acc = acc * self.factor()
-            else:
-                return acc
+        while self.take("*") or self.tokens[self.pos][0] in ("int", "name", "("):
+            acc = acc * self.factor()
+        return acc
 
     def factor(self) -> Polynomial:
         acc = self.primary()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "sym" or tok[1] != "^":
-                return acc
-            self.pos += 1
-            etok = self.peek()
-            if etok is None or etok[0] != "int":
-                where = etok[2] if etok else len(self.text)
-                raise ParseError("expected integer exponent after '^'", self.text, where)
-            self.pos += 1
-            acc = acc ** int(etok[1])
+        while self.take("^"):
+            exponent = self.take("int")
+            if not exponent:
+                self.fail("expected integer exponent after '^'")
+            acc = acc ** int(exponent[1])
+        return acc
 
     def primary(self) -> Polynomial:
-        kind, value, where = self.take()
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "name" and value not in self.ring._index:
+            self.fail(f"unknown generator {value!r}")
+        if not self.take("int", "name", "("):
+            self.fail("unexpected end of input" if kind == "end" else f"unexpected token {value!r}")
         if kind == "int":
             return self.ring.const(int(value))
         if kind == "name":
-            if value not in self.ring._index:
-                raise ParseError(f"unknown generator {value!r}", self.text, where)
             return self.ring.gen(value)
-        if kind == "sym" and value == "(":
-            inner = self.expr()
-            self.expect_sym(")")
-            return inner
-        raise ParseError(f"unexpected token {value!r}", self.text, where)
+        inner = self.expr()
+        if not self.take(")"):
+            self.fail("expected ')'")
+        return inner
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:

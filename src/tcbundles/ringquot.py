@@ -71,7 +71,8 @@ term above the bound.  Packing a vector whose exponents overflow their
 fields only sets more bits, so it too lands at or above the limit when its
 degree is above the bound.  ``_packed`` packs relations and elements, and
 ``_unpacked`` gives ``Element.poly`` and, on first read, a truncated ring's
-``relations``: equality and hashing read the packed basis.
+``relations``: equality and hashing read a truncated ring's packed basis and
+a tower's normalized relations.
 
 Elements stay packed: an ``Element`` holds its normal form as a map from
 packed monomials to coefficients, at its presentation's width.  A product
@@ -415,18 +416,24 @@ class Presentation:
 
     # -- identity ------------------------------------------------------------------
 
+    def _identity(self) -> tuple:
+        """What ``==`` and the hash read past the ring and the truncation: a
+        tower's normalized relations, which its packed basis drops above the
+        box corner, else the packed basis.  ``degree_bound`` follows from
+        either."""
+        return self._relations if self.truncation is None else self._basis[1]
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Presentation)
             and self.ring == other.ring
             and self.truncation == other.truncation
-            and self.degree_bound == other.degree_bound
-            and self._basis[1] == other._basis[1]
+            and self._identity() == other._identity()
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ring, self.truncation, self.degree_bound, self._basis[1]))
+            self._hash = hash((self.ring, self.truncation, self._identity()))
         return self._hash
 
     def __repr__(self) -> str:

@@ -20,14 +20,10 @@ from tcbundles import (
     default_k_max,
     gysin_equivalence_check,
     point_sphere_table,
-    proj_roundtrip_error,
     sphere_divisibility_test,
-    sphere_roundtrip_error,
     symm_proj_test,
     symm_sphere_test,
     trivial_bundle,
-    build_sphere_planner,
-    verify_planner,
 )
 from tcbundles.obstruct import (
     InternalDisagreementError,
@@ -159,6 +155,14 @@ def test_a7_symmetrized_sphere_over_a_point():
 
 
 def test_a8_planner_verification_and_chart_roundtrips():
+    # the planner loads numpy, which the algebra gates run without
+    from tcbundles import (
+        build_sphere_planner,
+        proj_roundtrip_error,
+        sphere_roundtrip_error,
+        verify_planner,
+    )
+
     with criterion("A8 planner verification and chart roundtrips", budget=10.0):
         planner = build_sphere_planner(3)
         report = verify_planner(planner, samples=10_000, seed=0)

@@ -126,30 +126,40 @@ def test_parse_implicit_product():
 
 def test_parse_unary_minus_and_integers():
     assert zz("-3*T + T") == zz("-2*T")
-    with pytest.raises(ParseError):
-        zz("T - - S")
 
 
-def test_parse_error_position():
+XT_F2 = PolyRing(Coeffs.F2, [("x", 1), ("T", 1)])
+
+
+PARSE_ERRORS = [
+    ("", "unexpected end of input at position 0 near ''", 0),
+    ("x +", "unexpected end of input at position 3 near ''", 3),
+    ("(x", "expected ')' at position 2 near ''", 2),
+    ("((x)", "expected ')' at position 4 near ''", 4),
+    ("(T+x", "expected ')' at position 4 near ''", 4),
+    ("x)", "trailing input at position 1 near ')'", 1),
+    ("T+x)", "trailing input at position 3 near ')'", 3),
+    ("x^", "expected integer exponent after '^' at position 2 near ''", 2),
+    ("x^T", "expected integer exponent after '^' at position 2 near 'T'", 2),
+    ("x^2^", "expected integer exponent after '^' at position 4 near ''", 4),
+    ("y", "unknown generator 'y' at position 0 near 'y'", 0),
+    ("T + U", "unknown generator 'U' at position 4 near 'U'", 4),
+    ("x @ T", "unexpected character '@' at position 2 near '@ T'", 2),
+    ("*x", "unexpected token '*' at position 0 near '*x'", 0),
+    ("- - x", "unexpected token '-' at position 2 near '- x'", 2),
+    ("x + )", "unexpected token ')' at position 4 near ')'", 4),
+    ("T - - x", "unexpected token '-' at position 4 near '- x'", 4),
+    ("T^2 + + x", "unexpected token '+' at position 6 near '+ x'", 6),
+]
+
+
+@pytest.mark.parametrize("text, message, pos", PARSE_ERRORS,
+                         ids=[repr(text) for text, _, _ in PARSE_ERRORS])
+def test_parse_error_message_and_position(text, message, pos):
     with pytest.raises(ParseError) as exc:
-        f2("T^2 + + S")
-    assert "position 6" in str(exc.value)
-    assert exc.value.pos == 6
-
-
-def test_parse_unknown_generator():
-    with pytest.raises(ParseError):
-        f2("T + U")
-
-
-def test_parse_unbalanced_parenthesis():
-    with pytest.raises(ParseError):
-        f2("(T+S")
-
-
-def test_parse_trailing_garbage():
-    with pytest.raises(ParseError):
-        f2("T+S)")
+        XT_F2.parse(text)
+    assert str(exc.value) == message
+    assert exc.value.pos == pos
 
 
 # -- rendering ------------------------------------------------------------------

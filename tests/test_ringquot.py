@@ -22,6 +22,7 @@ from tcbundles import (
     make_bundle,
     point_presentation,
 )
+from tcbundles.obstruct import projective_of
 from tcbundles.ringquot import (
     _guard,
     _pack,
@@ -1056,6 +1057,18 @@ def test_equality_converts_no_operand():
     assert e != "x" and e != ring.gen("x") and pres.one() != 1 and ring.one() != 1
     assert len({e, "x", ring.gen("x"), cube_ring().element("x")}) == 3
     assert len({ring.one(), 1, ring.const(1)}) == 2
+
+
+def test_towers_that_print_different_relations_differ():
+    # y's relation (degree 4) lies above the box corner 3, so it packs empty
+    ring = PolyRing(Coeffs.F2, [("x", 1), ("y", 2)])
+    twisted = Presentation(ring, [ring.parse("x^2"), ring.parse("y^2 + x^2*y")])
+    plain = Presentation(ring, [ring.parse("x^2"), ring.parse("y^2")])
+    assert twisted != plain and len({twisted, plain}) == 2
+    again = Presentation(ring, [ring.parse("x^2"), ring.parse("y^2 + x^2*y")])
+    assert twisted == again and hash(twisted) == hash(again)
+    proj = [projective_of(make_bundle(KField.R, 2, base, {}))[0] for base in (twisted, plain)]
+    assert [str(p.relations[1]) for p in proj] == ["y^2 + x^2*y", "y^2"]
 
 
 @pytest.mark.parametrize("seed", range(10))
