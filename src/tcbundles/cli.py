@@ -333,7 +333,7 @@ def _ring_dump(spec: ParsedSpec, which: str, machine: bool) -> list[str]:
     out = []
     if machine:
         out.append(f"which={which}")
-        out.append(f"coeffs={'f2' if pres.ring.coeffs is Coeffs.F2 else 'z'}")
+        out.append(f"coeffs={pres.ring.coeffs.value.lower()}")
         out.append(f"strategy={pres.strategy.value}")
         if pres.truncation is not None:
             out.append(f"truncation={pres.truncation}")
@@ -345,7 +345,7 @@ def _ring_dump(spec: ParsedSpec, which: str, machine: bool) -> list[str]:
             out.append(f"class.{name}={render_polynomial(el.poly)}")
         return out
     gens = ", ".join(f"{name} (deg {deg})" for name, deg in pres.ring.generators())
-    out.append(f"{which} presentation over {'F2' if pres.ring.coeffs is Coeffs.F2 else 'Z'}")
+    out.append(f"{which} presentation over {pres.ring.coeffs.value}")
     out.append(f"  generators: {gens}")
     out.append(f"  strategy: {pres.strategy.value}")
     if pres.truncation is not None:

@@ -10,6 +10,8 @@ real dimension of K.  Inner products are K-valued, conjugate-linear in the
 second slot, so they are left-linear: <q u, v> = q <u, v>.  Lines are left
 K-spans of unit representatives; a homomorphism a from line L = Ku to line M
 is stored as the single image vector a(u), which transforms as a(qu) = q a(u).
+K-arithmetic is one Cayley–Dickson rule: a scalar of C or H is a pair (p, q)
+of scalars of its half field, so ``k_mul`` and ``k_conj`` recurse H -> C -> R.
 
 Tolerances: 1e-9 for geometric identities, 1e-12 for scalar algebra; inputs
 inside a 1e-9 degeneracy cutoff (antipodal points, orthogonal lines, equal
@@ -28,7 +30,9 @@ against the leading axes, so ``t`` of shape ``(T, 1)`` with points of shape
 ``GeometryError`` if any of its rows is degenerate.  A planner rule's
 ``path(u, v)`` does its per-pair work once, on the points alone, and returns a
 function of ``t`` that broadcasts in the same way; ``_arc(u, v)`` is that step
-for the great-circle arc.  The single-point sphere functions (``geodesic_c``,
+for the great-circle arc, and ``_rho(u, v)`` for the same arc run so that
+rho(1) = u and rho(-1) = v, the shortest-arc rule's path and the arc behind
+``rho_sphere`` and ``proj_rho``.  The single-point sphere functions (``geodesic_c``,
 ``rho_sphere``, ``sigma_sphere``, ``pi_map``, ``pi_inverse``) and
 ``Planner.plan`` run the same kernels on one row, and ``verify_planner`` and
 both chart roundtrips run them over batches of sampled rows.  ``SpherePoint``
@@ -39,7 +43,7 @@ batched sphere code passes raw arrays.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,33 +67,28 @@ _BLOCK_COORDS = 1 << 13
 # -- K-scalar arithmetic -----------------------------------------------------------
 
 
+_HALF = {KField.C: KField.R, KField.H: KField.C}
+
+
 def k_mul(field: KField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise product of K-scalars; broadcasts over leading axes."""
+    """Componentwise product of K-scalars; broadcasts over leading axes.
+
+    One Cayley–Dickson rule: with halves a = (p, q) and b = (r, s) over the
+    half field, ab = (pr - s̄q, sp + qr̄), recursing H -> C -> R."""
     if field is KField.R:
         return a * b
-    if field is KField.C:
-        re = a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
-        im = a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0]
-        return np.stack([re, im], axis=-1)
-    a0, a1, a2, a3 = (a[..., i] for i in range(4))
-    b0, b1, b2, b3 = (b[..., i] for i in range(4))
-    return np.stack(
-        [
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        ],
-        axis=-1,
-    )
+    half, h = _HALF[field], field.d // 2
+    p, q, r, s = a[..., :h], a[..., h:], b[..., :h], b[..., h:]
+    return np.concatenate([k_mul(half, p, r) - k_mul(half, k_conj(half, s), q),
+                           k_mul(half, s, p) + k_mul(half, q, k_conj(half, r))], axis=-1)
 
 
 def k_conj(field: KField, a: np.ndarray) -> np.ndarray:
+    """Conjugate of K-scalars: (p, q) -> (p̄, -q) on Cayley–Dickson halves."""
     if field is KField.R:
         return a
-    out = np.array(a, dtype=float)
-    out[..., 1:] = -out[..., 1:]
-    return out
+    h = field.d // 2
+    return np.concatenate([k_conj(_HALF[field], a[..., :h]), -a[..., h:]], axis=-1)
 
 
 def k_inner(field: KField, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -134,6 +133,10 @@ class SpherePoint:
 def _line_norms(rep: np.ndarray) -> np.ndarray:
     """Norm of each (m, d) representative, over the leading axes."""
     return np.linalg.norm(rep, axis=(-2, -1))
+
+
+def _unit_lines(reps: np.ndarray) -> np.ndarray:
+    return reps / _line_norms(reps)[..., None, None]
 
 
 class ProjPoint:
@@ -216,9 +219,15 @@ def geodesic_c(t: float, u, v) -> SpherePoint:
     return SpherePoint(_arc(_coords(u), _coords(v))(t))
 
 
+def _rho(u: np.ndarray, v: np.ndarray) -> PairPath:
+    """The arc from u to v reparametrized so that rho(1) = u and rho(-1) = v."""
+    arc = _arc(u, v)
+    return lambda t: arc((1.0 - np.asarray(t, dtype=float)) / 2.0)
+
+
 def rho_sphere(t: float, u, v) -> SpherePoint:
     """Reparametrized arc with rho(1) = u and rho(-1) = v."""
-    return SpherePoint(_arc(_coords(u), _coords(v))((1.0 - t) / 2.0))
+    return SpherePoint(_rho(_coords(u), _coords(v))(t))
 
 
 def _sigma_raw(w: np.ndarray, t: float | np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -283,20 +292,28 @@ def pi_inverse(x, y) -> tuple[SpherePoint, SpherePoint, np.ndarray]:
 # -- projective-space analogues ------------------------------------------------------
 
 
+def _phase_aligned(field: KField, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y rephased so that <x, y> is real and nonnegative, and |<x, y>|.
+
+    Lines within SCALAR_TOL of orthogonal keep y and read 0."""
+    inner = k_inner(field, x, y)
+    mag = np.linalg.norm(inner, axis=-1)
+    orthogonal = mag <= SCALAR_TOL
+    phase = np.where(orthogonal[..., None], np.eye(field.d)[0],
+                     inner / np.maximum(mag, SCALAR_TOL)[..., None])
+    return k_scalar_mul(field, phase, y), np.where(orthogonal, 0.0, mag)
+
+
 def proj_rho(t: float | np.ndarray, line_l: ProjPoint, line_m: ProjPoint) -> ProjPoint:
     """Geodesic between non-orthogonal lines: phase-align the second
     representative so the inner product is real positive, then run the real
     great-circle arc; rho(1) = L, rho(-1) = M."""
-    field = line_l.field
-    u, v0 = line_l.rep, line_m.rep
-    inner = k_inner(field, u, v0)
-    mag = np.linalg.norm(inner, axis=-1)
+    u = line_l.rep
+    v, mag = _phase_aligned(line_l.field, u, line_m.rep)
     if np.any(mag <= GEOM_TOL):
         raise GeometryError("projective geodesic undefined for orthogonal lines")
-    v = k_scalar_mul(field, inner / mag[..., None], v0)
-    point = _arc(u.reshape(u.shape[:-2] + (-1,)), v.reshape(v.shape[:-2] + (-1,)))(
-        (1.0 - np.asarray(t, dtype=float)) / 2.0)
-    return ProjPoint(field, point.reshape(point.shape[:-1] + u.shape[-2:]))
+    point = _rho(u.reshape(u.shape[:-2] + (-1,)), v.reshape(v.shape[:-2] + (-1,)))(t)
+    return ProjPoint(line_l.field, point.reshape(point.shape[:-1] + u.shape[-2:]))
 
 
 def proj_sigma(
@@ -351,22 +368,14 @@ def proj_pi_inverse(
     solves 2t/(1+t^2) = <x, y> inside [0, 1).  Orthogonal lines are their own
     preimage, with a = 0.
     """
-    field = line_x.field
-    x, y0 = line_x.rep, line_y.rep
-    inner = k_inner(field, x, y0)
-    mag = np.linalg.norm(inner, axis=-1)
+    field, x = line_x.field, line_x.rep
+    y, mag = _phase_aligned(field, x, line_y.rep)
     if np.any(mag >= 1.0 - GEOM_TOL):
         raise GeometryError("chart inverse undefined for equal lines")
-    orthogonal = mag <= SCALAR_TOL
-    phase = np.where(orthogonal[..., None], np.eye(field.d)[0],
-                     inner / np.maximum(mag, SCALAR_TOL)[..., None])
-    y = k_scalar_mul(field, phase, y0)
-    t = np.where(orthogonal, 0.0, mag / (1.0 + np.sqrt(1.0 - mag * mag)))[..., None, None]
+    t = (mag / (1.0 + np.sqrt(1.0 - mag * mag)))[..., None, None]
     factor = np.sqrt(1.0 + t * t) / (1.0 - t * t)
-    u = (x - t * y) * factor
-    v = (y - t * x) * factor
-    u /= _line_norms(u)[..., None, None]
-    v /= _line_norms(v)[..., None, None]
+    u = _unit_lines((x - t * y) * factor)
+    v = _unit_lines((y - t * x) * factor)
     return ProjPoint(field, u), ProjPoint(field, v), t * v
 
 
@@ -440,10 +449,6 @@ def build_sphere_planner(n: int) -> Planner:
     def accepts_near(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _dot(u, v) > -1.0 + GEOM_TOL
 
-    def path_near(u: np.ndarray, v: np.ndarray) -> PairPath:
-        arc = _arc(u, v)
-        return lambda t: arc((1.0 - np.asarray(t, dtype=float)) / 2.0)
-
     def accepts_far(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.linalg.norm(u - v, axis=-1) > GEOM_TOL
 
@@ -485,11 +490,17 @@ def build_sphere_planner(n: int) -> Planner:
     return Planner(
         n=n,
         rules=(
-            PlannerRule("shortest-arc", accepts_near, path_near),
+            PlannerRule("shortest-arc", accepts_near, _rho),
             PlannerRule("section-crossing", accepts_far, path_far),
         ),
         lipschitz=4.0,
     )
+
+
+# a report field's text by its annotation, a string under the __future__
+# import: floats as .12e, the verdict as true/false
+_REPORT_TEXT = {"int": str, "float": "{:.12e}".format,
+                "bool": lambda flag: "true" if flag else "false"}
 
 
 @dataclass(frozen=True)
@@ -508,18 +519,8 @@ class PlannerReport:
     passed: bool
 
     def lines(self) -> list[str]:
-        return [
-            f"n={self.n}",
-            f"samples={self.samples}",
-            f"seed={self.seed}",
-            f"max_endpoint_error={self.max_endpoint_error:.12e}",
-            f"max_diagonal_error={self.max_diagonal_error:.12e}",
-            f"cover_failures={self.cover_failures}",
-            f"continuity_max_step={self.continuity_max_step:.12e}",
-            f"continuity_bound={self.continuity_bound:.12e}",
-            f"equivariance_error={self.equivariance_error:.12e}",
-            f"passed={'true' if self.passed else 'false'}",
-        ]
+        """One ``name=value`` line per field, in field order."""
+        return [f"{f.name}={_REPORT_TEXT[f.type](getattr(self, f.name))}" for f in fields(self)]
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
@@ -695,10 +696,6 @@ def sphere_roundtrip_error(n: int, samples: int, seed: int) -> float:
     u4, w4 = _pi_inverse_raw(x3, y3)
     x4, y4 = _pi_raw(u4, w4), _pi_raw(-u4, w4)
     return max(worst, _max_distance(_unit_rows(x4), x3), _max_distance(_unit_rows(y4), y3))
-
-
-def _unit_lines(reps: np.ndarray) -> np.ndarray:
-    return reps / _line_norms(reps)[..., None, None]
 
 
 def _orthogonalize(field: KField, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -503,9 +503,9 @@ def _truncation_monomials(degrees: Sequence[int], bound: int, width: int, shift:
 
 
 def _tower_normalize(ring: PolyRing, relations: list[Polynomial]) -> list[Polynomial]:
-    """Validate tower shape and normalize leading units to +1."""
-    seen: set[int] = set()
-    normalized: list[Polynomial] = []
+    """Validate tower shape, normalize leading units to +1 and order the
+    relations by their monic generators, so a tower reads the same in any order."""
+    normalized: dict[int, Polynomial] = {}
     for rel in relations:
         lead = rel.leading_exponents()
         support = [i for i, x in enumerate(lead) if x]
@@ -519,13 +519,12 @@ def _tower_normalize(ring: PolyRing, relations: list[Polynomial]) -> list[Polyno
                 f"relation {rel} is not monic in generator {ring.names[gidx]!r}; "
                 "only an F2 presentation with a truncation (GROEBNER_F2) takes such relations"
             )
-        if gidx in seen:
+        if gidx in normalized:
             raise PresentationError(
                 f"two relations are monic in the same generator {ring.names[gidx]!r}"
             )
-        seen.add(gidx)
-        normalized.append(-rel if lc == -1 else rel)
-    return normalized
+        normalized[gidx] = -rel if lc == -1 else rel
+    return [normalized[g] for g in sorted(normalized)]
 
 
 # -- reduction and completion ------------------------------------------------------------

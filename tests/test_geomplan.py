@@ -170,6 +170,46 @@ def test_k_scalar_mul_is_left_action():
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def quaternion_matrix(a):
+    """a0 + a1 i + a2 j + a3 k as the 2x2 complex matrix [[z, w], [-w̄, z̄]],
+    z = a0 + a1 i and w = a2 + a3 i, over the leading axes."""
+    z, w = a[..., 0] + 1j * a[..., 1], a[..., 2] + 1j * a[..., 3]
+    return np.stack([np.stack([z, w], -1), np.stack([-w.conj(), z.conj()], -1)], -2)
+
+
+# each field's K-scalars as numpy scalars (R), complex128 (C) or 2x2 complex
+# matrices (H), with that representation's product and conjugate
+K_REFERENCE = {
+    KField.R: (lambda a: a[..., 0], np.multiply, lambda x: x),
+    KField.C: (lambda a: a[..., 0] + 1j * a[..., 1], np.multiply, np.conj),
+    KField.H: (quaternion_matrix, np.matmul, lambda x: np.swapaxes(x.conj(), -2, -1)),
+}
+
+
+@pytest.mark.parametrize("field", list(KField))
+def test_k_products_match_independent_references_on_broadcast_batches(field):
+    embed, mul, conj = K_REFERENCE[field]
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal((2, 1, 3, field.d))
+    b = rng.standard_normal((5, 1, field.d))
+    prod = k_mul(field, a, b)
+    assert prod.shape == (2, 5, 3, field.d)
+    assert np.allclose(embed(prod), mul(embed(a), embed(b)), rtol=0, atol=1e-12)
+    assert np.allclose(embed(k_conj(field, a)), conj(embed(a)), rtol=0, atol=0)
+    # k_scalar_mul and k_inner, row by row against the reference
+    q = rng.standard_normal((2, 1, field.d))
+    u = rng.standard_normal((5, 3, field.d))
+    v = rng.standard_normal((3, field.d))
+    scaled, inner = k_scalar_mul(field, q, u), k_inner(field, u, v)
+    assert scaled.shape == (2, 5, 3, field.d) and inner.shape == (5, field.d)
+    for i, j, k in np.ndindex(2, 5, 3):
+        want = mul(embed(q[i, 0]), embed(u[j, k]))
+        assert np.allclose(embed(scaled[i, j, k]), want, rtol=0, atol=1e-12)
+    for j in range(5):
+        want = sum(mul(embed(u[j, k]), conj(embed(v[k]))) for k in range(3))
+        assert np.allclose(embed(inner[j]), want, rtol=0, atol=1e-12)
+
+
 # -- validated points ----------------------------------------------------------------
 
 
@@ -821,6 +861,20 @@ def test_verify_report_is_deterministic():
     assert first.lines() == second.lines()
     assert any(line.startswith("max_endpoint_error=") for line in first.lines())
     assert first.lines()[-1] == "passed=true"
+
+
+def test_report_prints_one_line_per_field_in_its_format():
+    report = geomplan.PlannerReport(
+        n=3, samples=10, seed=2, max_endpoint_error=0.1, max_diagonal_error=0.0,
+        cover_failures=1, continuity_max_step=2.5, continuity_bound=1e-6,
+        equivariance_error=3.0, passed=False)
+    assert report.lines() == [
+        "n=3", "samples=10", "seed=2",
+        "max_endpoint_error=1.000000000000e-01", "max_diagonal_error=0.000000000000e+00",
+        "cover_failures=1", "continuity_max_step=2.500000000000e+00",
+        "continuity_bound=1.000000000000e-06", "equivariance_error=3.000000000000e+00",
+        "passed=false",
+    ]
 
 
 @pytest.mark.parametrize("n", (1, 3, 7, 63))

@@ -1071,6 +1071,18 @@ def test_towers_that_print_different_relations_differ():
     assert [str(p.relations[1]) for p in proj] == ["y^2 + x^2*y", "y^2"]
 
 
+def test_a_tower_reads_the_same_in_any_order():
+    ring = PolyRing(Coeffs.F2, [("x", 1), ("y", 2)])
+    rels = [ring.parse("x^2"), ring.parse("y^2 + x^2*y")]
+    given, reversed_ = Presentation(ring, rels), Presentation(ring, rels[::-1])
+    assert given == reversed_ and hash(given) == hash(reversed_)
+    assert [str(r) for r in reversed_.relations] == ["x^2", "y^2 + x^2*y"]
+    projective_of.cache_clear()
+    for base in (given, reversed_):
+        projective_of(make_bundle(KField.R, 2, base, {}))
+    assert projective_of.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_full_tower_vanishes_above_its_box_corner(seed):
     rng = random.Random(seed)
