@@ -10,8 +10,10 @@ Three subcommands:
 
 Spec files are line-oriented text: ``key = value`` headers followed by
 optional ``[base]``, ``[classes]`` and ``[options]`` sections.  See the
-README for the grammar.  ``--machine`` switches to deterministic key=value
-output.  Exit codes: 0 ok, 1 check failure, 2 input error.
+README for the grammar.  Each report is a list of deterministic ``key=value``
+lines, printed as they are with ``--machine``.  Without it the first three
+lines become a title after the command's name and the rest are indented as
+``key = value``.  Exit codes: 0 ok, 1 check failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -269,48 +271,17 @@ def run_criteria(spec: ParsedSpec, k_max: int | None = None) -> list[CriterionRe
     return results
 
 
-def _criteria_lines(spec: ParsedSpec, results: list[CriterionResult], k_max: int,
-                    machine: bool) -> list[str]:
-    out = []
-    if machine:
-        out.append(f"field={spec.field.tag}")
-        out.append(f"rank={spec.bundle.rank}")
-        out.append(f"k_max={k_max}")
-        for r in results:
-            if r.found:
-                out.append(f"{r.name}.min_k={r.min_k}")
-            else:
-                out.append(f"{r.name}.min_k=not_found_up_to_{r.min_k.k_max}")
-            if r.witness_k is not None:
-                out.append(f"{r.name}.witness_k={r.witness_k}")
-                out.append(f"{r.name}.witness={r.witness}")
-        if spec.field is KField.R:
-            out.append("integral_sphere=not_evaluated_twisted_coefficients")
-        out.append(f"caveat={STABLE_RANGE_CAVEAT}")
-        return out
-    out.append(
-        f"bundle: field {spec.field.tag}, rank {spec.bundle.rank} "
-        f"(n = {spec.bundle.n}, d = {spec.bundle.d}), search bound k_max = {k_max}"
-    )
+def _criteria_lines(spec: ParsedSpec, results: list[CriterionResult], k_max: int) -> list[str]:
+    out = [f"field={spec.field.tag}", f"rank={spec.bundle.rank}", f"k_max={k_max}"]
     for r in results:
-        if r.found and r.min_k == 0:
-            out.append(f"  {r.name}: zero ring, vanishes at k=0")
-        elif r.found:
-            out.append(
-                f"  {r.name}: nonzero at k={r.witness_k}, witness {r.witness}; "
-                f"zero at k={r.min_k}"
-            )
-        else:
-            out.append(
-                f"  {r.name}: no vanishing up to k={r.min_k.k_max}, "
-                f"witness {r.witness}"
-            )
+        min_k = r.min_k if r.found else f"not_found_up_to_{r.min_k.k_max}"
+        out.append(f"{r.name}.min_k={min_k}")
+        if r.witness_k is not None:
+            out.append(f"{r.name}.witness_k={r.witness_k}")
+            out.append(f"{r.name}.witness={r.witness}")
     if spec.field is KField.R:
-        out.append(
-            "  integral sphere criteria over a general base need twisted "
-            "coefficients: not evaluated"
-        )
-    out.append(f"note: {STABLE_RANGE_CAVEAT}")
+        out.append("integral_sphere=not_evaluated_twisted_coefficients")
+    out.append(f"caveat={STABLE_RANGE_CAVEAT}")
     return out
 
 
@@ -326,34 +297,19 @@ _RINGS = {
 }
 
 
-def _ring_dump(spec: ParsedSpec, which: str, machine: bool) -> list[str]:
+def _ring_dump(spec: ParsedSpec, which: str) -> list[str]:
     build, names = _RINGS[which]
     pres, *classes = build(spec.bundle)
-    named = list(zip(names, classes))
-    out = []
-    if machine:
-        out.append(f"which={which}")
-        out.append(f"coeffs={pres.ring.coeffs.value.lower()}")
-        out.append(f"strategy={pres.strategy.value}")
-        if pres.truncation is not None:
-            out.append(f"truncation={pres.truncation}")
-        for i, (name, deg) in enumerate(pres.ring.generators()):
-            out.append(f"generator.{i}={name}:{deg}")
-        for i, rel in enumerate(pres.relations):
-            out.append(f"relation.{i}={render_polynomial(rel)}")
-        for name, el in named:
-            out.append(f"class.{name}={render_polynomial(el.poly)}")
-        return out
-    gens = ", ".join(f"{name} (deg {deg})" for name, deg in pres.ring.generators())
-    out.append(f"{which} presentation over {pres.ring.coeffs.value}")
-    out.append(f"  generators: {gens}")
-    out.append(f"  strategy: {pres.strategy.value}")
+    out = [f"which={which}", f"coeffs={pres.ring.coeffs.value.lower()}",
+           f"strategy={pres.strategy.value}"]
     if pres.truncation is not None:
-        out.append(f"  truncation: degree > {pres.truncation} is zero")
-    for rel in pres.relations:
-        out.append(f"  relation: {render_polynomial(rel)}")
-    for name, el in named:
-        out.append(f"  {name} = {render_polynomial(el.poly)}")
+        out.append(f"truncation={pres.truncation}")
+    for i, (name, deg) in enumerate(pres.ring.generators()):
+        out.append(f"generator.{i}={name}:{deg}")
+    for i, rel in enumerate(pres.relations):
+        out.append(f"relation.{i}={render_polynomial(rel)}")
+    for name, el in zip(names, classes):
+        out.append(f"class.{name}={render_polynomial(el.poly)}")
     return out
 
 
@@ -399,25 +355,28 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             spec = parse_spec_file(args.spec, _COEFFS_FLAG.get(args.coeffs))
             k_max = _search_bound(spec, args.kmax)
-            lines = _criteria_lines(spec, run_criteria(spec, k_max), k_max, args.machine)
+            lines = _criteria_lines(spec, run_criteria(spec, k_max), k_max)
         elif args.command == "planner":
             # geomplan pulls in numpy, which criteria and ring never need
             from .geomplan import build_sphere_planner, verify_planner
 
             report = verify_planner(build_sphere_planner(args.n), args.samples, args.seed)
             code = 0 if report.passed else 1
-            lines = report.lines() if args.machine else [
-                f"sphere planner on S^{args.n}: 2 rules, {args.samples} samples, seed {args.seed}",
-                *(f"  {line.replace('=', ' = ', 1)}" for line in report.lines()[3:])]
+            lines = report.lines()
         else:
             spec = parse_spec_file(args.spec, _COEFFS_FLAG.get(args.coeffs))
-            lines = _ring_dump(spec, args.which, args.machine)
+            lines = _ring_dump(spec, args.which)
     except (SpecFileError, BundleError, PresentationError, GradingError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InternalDisagreementError, ModuleBasisError) as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
+    if not args.machine:
+        # the three lines that name the run are the title; the rest read key = value
+        title = ", ".join(line.replace("=", " ", 1) for line in lines[:3])
+        lines = [f"{args.command}: {title}", *(f"  {line.replace('=', ' = ', 1)}"
+                                               for line in lines[3:])]
     for line in lines:
         print(line)
     return code

@@ -505,7 +505,11 @@ _REPORT_TEXT = {"int": str, "float": "{:.12e}".format,
 
 @dataclass(frozen=True)
 class PlannerReport:
-    """Numeric verification results; all fields deterministic in (samples, seed)."""
+    """Numeric verification results; all fields deterministic in (samples, seed).
+
+    ``equivariance_error`` measures the raw geodesic under random orthogonal
+    maps, not the planner's rules; the rules' unitary equivariance and their
+    continuity in (u, v) are tier-1 tests of their own."""
 
     n: int
     samples: int

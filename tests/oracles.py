@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from tcbundles import Coeffs, Polynomial, PolyRing
 
@@ -68,13 +69,15 @@ def monomials_of_degree(ring: PolyRing, degree: int) -> list[tuple]:
     return found
 
 
-def _ideal_piece(ring: PolyRing, relations: list[Polynomial],
+@lru_cache(maxsize=64)
+def _ideal_piece(ring: PolyRing, relations: tuple[Polynomial, ...],
                  degree: int) -> tuple[dict, dict[int, int]]:
     """The monomials of one degree, indexed, and an echelon basis of the
     ideal's piece in that degree, keyed by each row's highest monomial.
 
     Spans the piece by multiplying each relation with every monomial of the
-    complementary degree, then row-reduces the products.
+    complementary degree, then row-reduces the products.  Cached, so that
+    the checks of one ring share each degree's piece; callers only read it.
     """
     index = {m: i for i, m in enumerate(monomials_of_degree(ring, degree))}
     pivots: dict[int, int] = {}
@@ -100,7 +103,7 @@ def f2_ideal_member(ring: PolyRing, relations: list[Polynomial],
     """Is the homogeneous ``p`` in the ideal generated by ``relations``?"""
     if p.is_zero():
         return True
-    index, pivots = _ideal_piece(ring, relations, p.degree())
+    index, pivots = _ideal_piece(ring, tuple(relations), p.degree())
     target = 0
     for e, c in p.terms.items():
         if c % 2 == 1:
@@ -116,7 +119,7 @@ def f2_ideal_member(ring: PolyRing, relations: list[Polynomial],
 def f2_quotient_dimension(ring: PolyRing, relations: list[Polynomial],
                           degree: int) -> int:
     """dim of (free ring / ideal) in one degree, by rank over F2."""
-    index, pivots = _ideal_piece(ring, relations, degree)
+    index, pivots = _ideal_piece(ring, tuple(relations), degree)
     return len(index) - len(pivots)
 
 

@@ -34,6 +34,7 @@ from tcbundles.geomplan import (
     GEOM_TOL,
     SCALAR_TOL,
     _arc,
+    _dot,
     _pi_inverse_raw,
     k_conj,
     k_inner,
@@ -806,6 +807,45 @@ def test_planner_rules_are_unitary_equivariant_on_their_domains(n):
         g = random_rotation(n + 1)
         moved = far.path(us[:5], vs[:5])(0.0) @ g.T
         assert np.max(np.abs(moved - far.path(us[:5] @ g.T, vs[:5] @ g.T)(0.0))) > 1e-3
+
+
+def unit_rows(points):
+    return points / np.linalg.norm(points, axis=-1, keepdims=True)
+
+
+def continuity_pairs(rng, dim, count):
+    """Pairs in each rule's domain with a margin: shortest-arc pairs with
+    u.v >= -0.9, and section-crossing pairs with |u - v| >= 0.1, a quarter of
+    them within 1e-3 of antipodal."""
+    u, v = unit_rows(rng.standard_normal((2, 4 * count, dim)))
+    near = _dot(u, v) >= -0.9
+    far = np.linalg.norm(u - v, axis=-1) >= 0.1
+    heads = unit_rows(rng.standard_normal((count // 4, dim)))
+    scale = 1e-3 * rng.uniform(0.0, 0.9, (count // 4, 1))
+    antipodes = unit_rows(-heads + scale * unit_rows(rng.standard_normal(heads.shape)))
+    assert np.all(np.linalg.norm(heads + antipodes, axis=-1) <= 1e-3)
+    rest = count - count // 4
+    return ((u[near][:count], v[near][:count]),
+            (np.concatenate([u[far][:rest], heads]), np.concatenate([v[far][:rest], antipodes])))
+
+
+@pytest.mark.parametrize("n", (1, 3, 7))
+def test_planner_rules_are_continuous_in_their_endpoints(n):
+    # moving u and v by delta in random directions moves every point of a
+    # rule's path by at most 10 delta, on the 513-point t-grid that holds the
+    # section crossing's seams t = -1/2, 0 and 1/2
+    rng = np.random.default_rng(0)
+    delta = 1e-7
+    ts = np.linspace(-1.0, 1.0, 513)[:, None]
+    assert {-0.5, 0.0, 0.5} <= set(ts[:, 0].tolist())
+    planner = build_sphere_planner(n)
+    for rule, (u, v) in zip(planner.rules, continuity_pairs(rng, n + 1, 200)):
+        assert len(u) == 200
+        nudged_u, nudged_v = (unit_rows(p + delta * unit_rows(rng.standard_normal(p.shape)))
+                              for p in (u, v))
+        assert rule.accepts(u, v).all() and rule.accepts(nudged_u, nudged_v).all()
+        moved = np.linalg.norm(rule.path(nudged_u, nudged_v)(ts) - rule.path(u, v)(ts), axis=-1)
+        assert moved.max() <= 10 * delta, (rule.name, moved.max() / delta)
 
 
 def test_empty_planner_raises_on_plan():

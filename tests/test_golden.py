@@ -16,7 +16,10 @@ order, within fixed tolerances.
 ``human/<spec>.txt`` holds, for each spec, the stdout of ``tcbundles
 criteria <spec>`` and of ``tcbundles ring <spec> --which W`` for the four
 rings, without ``--machine``, each after a ``$ tcbundles ...`` line naming
-the command (``human_transcript``).
+the command (``human_transcript``).  The human form of every report is its
+``--machine`` lines under a title: the first three lines, joined by ``", "``
+with each ``=`` read as a space, after ``<command>: ``, then every later line
+indented by two spaces with its first ``=`` written as `` = ``.
 """
 
 import io
@@ -105,3 +108,24 @@ def human_transcript(spec):
 def test_human_output_matches_golden(spec):
     want = (GOLDEN / "human" / f"{spec}.txt").read_text(encoding="utf-8")
     assert human_transcript(spec) == want
+
+
+# The three keys that open each command's report, which its human title names
+TITLE_KEYS = {"criteria": ["field", "rank", "k_max"], "ring": ["which", "coeffs", "strategy"],
+              "planner": ["n", "samples", "seed"]}
+RULE_CASES = [(name, [command, str(SPEC_FILES[spec]), *rest]) for name, (command, spec, *rest)
+              in CASES] + [(f"planner_n{n}", ["planner", "--n", str(n), "--samples", "2000"])
+                           for n in (1, 3)]
+
+
+@pytest.mark.parametrize("name,argv", RULE_CASES, ids=[name for name, _ in RULE_CASES])
+def test_human_output_is_the_machine_lines_under_a_title(capsys, name, argv):
+    assert main([*argv, "--machine"]) == 0
+    machine = capsys.readouterr().out.splitlines()
+    assert main(argv) == 0
+    human = capsys.readouterr().out.splitlines()
+    command = argv[0]
+    assert [line.partition("=")[0] for line in machine[:3]] == TITLE_KEYS[command]
+    title = ", ".join(" ".join(line.split("=", 1)) for line in machine[:3])
+    assert human[0] == f"{command}: {title}"
+    assert human[1:] == ["  {} = {}".format(*line.split("=", 1)) for line in machine[3:]]

@@ -7,11 +7,13 @@ A power e^k vanishes when it lies in the ideal of those relations, decided by
 ``oracles.f2_ideal_member``, which shares no code with the package's
 completion, reduction or packing.  Each ring's basis is checked against the
 same ideal: its elements lie in it, it is reduced, and it leaves the
-quotient's dimension in every degree.
+quotient's dimension in every degree.  The random bundles are small; the two
+truncated specs under ``tests/specs/`` run the same checks at ladder scale.
 """
 
 import random
 from operator import le
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from tcbundles import (
     Presentation,
     default_k_max,
 )
+from tcbundles.cli import parse_spec_file
 from tcbundles.obstruct import (
     feder_of,
     first_vanishing,
@@ -161,18 +164,45 @@ def check_reduced_basis(pres: Presentation, raw: RawRing) -> None:
             assert not any(other != lead and all(map(le, other, m)) for other in leads), r
 
 
+# Each ring of a bundle: the package's presentation and the raw ring it presents
+RINGS = {
+    "base": lambda b, raw: (b.base, RawRing(b, raw, [], b.base.truncation)),
+    "proj": lambda b, raw: (projective_of(b)[0], projective(b, raw)[0]),
+    "qtilde": lambda b, raw: (q_tilde_of(b, Coeffs.F2)[0], ordered_pairs(b, raw)[0]),
+    "plane": lambda b, raw: (grassmann_of(b)[0], planes(b, raw)),
+    "feder": lambda b, raw: (feder_of(b)[0], unordered_pairs(b, raw)[0]),
+}
+
+
+def f2_verdicts(b: BundleSpec, raw: list[Polynomial]) -> list[int]:
+    """The symm_sphere, proj_pair_f2 and symm_proj powers, each checked."""
+    k_max = default_k_max(b)
+    return [check_against_raw_ring(symm_sphere_powers(b), *projective(b, raw), k_max),
+            check_against_raw_ring(powers(q_tilde_of(b, Coeffs.F2)[1]),
+                                   *ordered_pairs(b, raw), k_max),
+            check_against_raw_ring(symm_proj_powers(b), *unordered_pairs(b, raw), k_max)]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_f2_verdicts_match_the_raw_relations(seed):
     b, raw = random_bundle(seed)
-    k_max = default_k_max(b)
-    proj, e_zeta = projective(b, raw)
-    qt, e_alpha_tilde = ordered_pairs(b, raw)
-    feder, e_alpha = unordered_pairs(b, raw)
-    check_against_raw_ring(symm_sphere_powers(b), proj, e_zeta, k_max)
-    check_against_raw_ring(powers(q_tilde_of(b, Coeffs.F2)[1]), qt, e_alpha_tilde, k_max)
-    check_against_raw_ring(symm_proj_powers(b), feder, e_alpha, k_max)
-    check_reduced_basis(b.base, RawRing(b, raw, [], b.base.truncation))
-    check_reduced_basis(projective_of(b)[0], proj)
-    check_reduced_basis(q_tilde_of(b, Coeffs.F2)[0], qt)
-    check_reduced_basis(grassmann_of(b)[0], planes(b, raw))
-    check_reduced_basis(feder_of(b)[0], feder)
+    f2_verdicts(b, raw)
+    for ring in RINGS.values():
+        check_reduced_basis(*ring(b, raw))
+
+
+def ladder_bundle(name: str) -> BundleSpec:
+    return parse_spec_file(str(Path(__file__).resolve().parent / "specs" / f"{name}.spec")).bundle
+
+
+# Both ladder bases are pure truncations, so their raw relations are []
+@pytest.mark.parametrize("name,ks", [("truncated_r3_t8", [6, 11, 12]),
+                                     ("truncated_r4_t12", [6, 15, 16])])
+def test_f2_verdicts_match_the_raw_relations_at_ladder_scale(name, ks):
+    assert f2_verdicts(ladder_bundle(name), []) == ks
+
+
+@pytest.mark.parametrize("name,which", [("truncated_r3_t8", which) for which in RINGS] + [
+    ("truncated_r4_t12", which) for which in ("proj", "qtilde", "plane")])
+def test_ladder_bases_are_the_reduced_bases_of_their_raw_ideals(name, which):
+    check_reduced_basis(*RINGS[which](ladder_bundle(name), []))
