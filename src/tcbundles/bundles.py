@@ -95,7 +95,6 @@ class BundleSpec:
         if base.dimension(0) != 1:
             raise BundleError("base must be connected (one-dimensional degree-0 part)")
         classes = tuple(classes)
-        n = rank - 1
         if len(classes) != rank:
             raise BundleError(f"need {rank} classes w_1..w_{rank}, got {len(classes)}")
         d = field.d
@@ -186,17 +185,14 @@ def _degree_bound(base: Presentation) -> int:
     return base.degree_bound
 
 
-def _twisted(b: BundleSpec, ring: PolyRing, y: Polynomial, z: Polynomial | None,
+def _twisted(b: BundleSpec, ring: PolyRing, y: Polynomial, z: Polynomial,
              top: int) -> list[Polynomial]:
-    """c_0..c_top with c_0 = 1 and c_i = w_i + y*c_(i-1) + z*c_(i-2) (z None: no
-    z term), the twisted sums sum_j p_(i-j) w_j of p_(k+1) = y*p_k + z*p_(k-1)."""
-    c = [ring.one()]
+    """c_0..c_top with c_(-1) = 0, c_0 = 1 and c_i = w_i + y*c_(i-1) + z*c_(i-2),
+    the twisted sums sum_j p_(i-j) w_j of p_(k+1) = y*p_k + z*p_(k-1)."""
+    c = [ring.zero(), ring.one()]
     for i in range(1, top + 1):
-        c_i = b.w(i).poly.lift(ring) + y * c[-1]
-        if z is not None and i >= 2:
-            c_i = c_i + z * c[-2]
-        c.append(c_i)
-    return c
+        c.append(b.w(i).poly.lift(ring) + y * c[-1] + z * c[-2])
+    return c[1:]
 
 
 def projective_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
@@ -209,7 +205,7 @@ def projective_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
     """
     n, d = b.n, b.d
     ring = b.base.ring.with_generators([("t", d)])
-    xs = _twisted(b, ring, -ring.gen("t"), None, n + 1)
+    xs = _twisted(b, ring, -ring.gen("t"), ring.zero(), n + 1)
     trunc = b.base.truncation
     pres = b.base.extend(ring, [xs[n + 1]], None if trunc is None else trunc + n * d)
     e_zeta = pres.element(xs[n])
@@ -219,7 +215,7 @@ def projective_ring(b: BundleSpec) -> tuple[Presentation, Element, Element]:
 
 def projective_x_classes(b: BundleSpec, pres: Presentation) -> list[Element]:
     """The module basis x_0, ..., x_n of the projectivization over the base."""
-    xs = _twisted(b, pres.ring, -pres.ring.gen("t"), None, b.n)
+    xs = _twisted(b, pres.ring, -pres.ring.gen("t"), pres.ring.zero(), b.n)
     return [pres.element(x) for x in xs]
 
 
@@ -245,7 +241,7 @@ def q_tilde_ring(b: BundleSpec) -> tuple[Presentation, Element]:
     """
     n, d = b.n, b.d
     ring = b.base.ring.with_generators([("S", d), ("T", d)])
-    r1 = _twisted(b, ring, -ring.gen("S"), None, n + 1)[n + 1]
+    r1 = _twisted(b, ring, -ring.gen("S"), ring.zero(), n + 1)[n + 1]
     r2 = ring.zero()
     for i in range(n + 1):
         sign = -1 if i % 2 else 1

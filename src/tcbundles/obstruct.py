@@ -159,23 +159,17 @@ def _require_real_f2(b: BundleSpec, what: str) -> None:
 
 def _f2_in_span(columns: list[int], target: int) -> bool:
     """Membership of a target bit-vector in the F2 span of column bit-vectors."""
-    pivots: dict[int, int] = {}
+    pivots: dict[int, int] = {}  # by leading bit
+
+    def reduced(v: int) -> int:
+        while pivot := pivots.get(v.bit_length()):
+            v ^= pivot
+        return v
+
     for col in columns:
-        cur = col
-        while cur:
-            msb = cur.bit_length() - 1
-            if msb in pivots:
-                cur ^= pivots[msb]
-            else:
-                pivots[msb] = cur
-                break
-    cur = target
-    while cur:
-        msb = cur.bit_length() - 1
-        if msb not in pivots:
-            return False
-        cur ^= pivots[msb]
-    return True
+        if v := reduced(col):
+            pivots[v.bit_length()] = v
+    return not reduced(target)
 
 
 def sphere_divisibility_test(b: BundleSpec, k: int) -> bool:
@@ -332,19 +326,16 @@ def closed_form_check(n: int) -> bool:
     base = free_presentation(Coeffs.F2, gens)
     b = make_bundle(KField.R, n + 1, base, {i: f"w{i}" for i in range(1, n + 2)})
 
-    def w(i: int) -> Element:
-        return base.element(f"w{i}")
-
     sq = euler_power_x_coordinates(b, 2)
     want_sq = [base.zero()] * (n + 1)
-    want_sq[n] = w(n)
-    want_sq[n - 1] = w(n + 1)
+    want_sq[n] = b.w(n)
+    want_sq[n - 1] = b.w(n + 1)
 
     cube = euler_power_x_coordinates(b, 3)
     want_cube = [base.zero()] * (n + 1)
-    want_cube[n] = w(n) * w(n) + w(n - 1) * w(n + 1)
-    want_cube[n - 1] = w(n) * w(n + 1)
-    want_cube[n - 2] = w(n + 1) * w(n + 1)
+    want_cube[n] = b.w(n) * b.w(n) + b.w(n - 1) * b.w(n + 1)
+    want_cube[n - 1] = b.w(n) * b.w(n + 1)
+    want_cube[n - 2] = b.w(n + 1) * b.w(n + 1)
 
     return sq == want_sq and cube == want_cube
 

@@ -128,8 +128,6 @@ class PolyRing:
         return Polynomial(self, {tuple(exps): 1})
 
     def monomial(self, exps: ExpVec, coeff: int = 1) -> "Polynomial":
-        if len(exps) != self.ngens:
-            raise RingMismatchError("exponent vector has wrong length")
         return Polynomial(self, {tuple(exps): coeff})
 
     def parse(self, text: str) -> "Polynomial":

@@ -34,16 +34,19 @@ degree above it is zero in the quotient.  The truncation is semantic, i.e. it
 is part of the ring being presented, not a computational shortcut.
 
 ``Presentation.extend`` adjoins generators and relations to a completed
-presentation.  Its reduced basis and its truncation's minimal monomials that
-no lead divides are a Groebner basis of the extended ideal, so they enter the
-completion finished and are never paired with each other: each such S-pair
-would reduce to zero.  Only the new relations are paired: when each new lead
+presentation.  Given a truncation, it starts the completion from the base's
+packed basis: that basis and the minimal monomials above the base's degree
+bound that no lead divides are a Groebner basis of the base's ideal, so they
+enter finished and are never paired with each other: each such S-pair would
+reduce to zero.  This holds for a monic tower too, whose quotient vanishes
+above its box corner; its tails may be unreduced, and the completion's final
+pass reduces them.  Only the new relations are paired: when each new lead
 is a pure power of a new generator, all their leads are coprime and no pair
-is queued.  They enter packed: the old generators lead the new ring, so
-each basis monomial is re-spaced, its exponent fields and degree field
-moved to the new layout, and the truncation's monomials are built at the
-new width.  A monic tower enters through its relations instead, as its
-packed basis leaves out those above its box corner.
+is queued.  The basis enters packed: the old generators lead the new ring,
+so each basis monomial is re-spaced, its exponent fields and degree field
+moved to the new layout, and the monomials above the degree bound are built
+at the new width.  A tower extended without a truncation stays a tower: its
+relations are lifted to the new ring.
 
 Every monomial is packed into one int, the packed exponent vector of
 Bachmann and Schoenemann (ISSAC '98): exponent i fills field i of ``width``
@@ -155,8 +158,9 @@ class Presentation:
     with leading coefficients +1; with one, over F2, they are stored packed as
     their reduced Groebner basis up to the truncation, which ``relations``
     unpacks when first read.  ``strategy`` is deprecated and ignored.
-    ``_known`` is private to ``extend``: a truncated presentation whose
-    generators lead ``ring``; its basis enters the completion finished.
+    ``_known`` is private to ``extend``: a presentation whose generators lead
+    ``ring``, given with a truncation; its basis enters the completion
+    finished.
     ``degree_bound`` is the degree above which the quotient is zero, or None
     when a generator has no relation.
     """
@@ -229,27 +233,27 @@ class Presentation:
         ``ring`` adjoined; this ring's generators must lead ``ring``'s, in
         order and at their degrees.
 
-        A monic tower enters through its relations, which must stay a tower
-        without a truncation.  A truncated ring requires one, and its packed
-        basis enters the completion as it is, re-spaced: only ``relations``
-        are paired.
+        With a truncation, this ring's packed basis enters the completion as
+        it is, re-spaced: only ``relations`` are paired.  Without one, this
+        ring must be a monic tower, whose lifted relations and ``relations``
+        must make a tower again.
         """
         n = self.ring.ngens
         if ring.coeffs is not self.ring.coeffs or ring.generators()[:n] != self.ring.generators():
             raise PresentationError("the old generators must lead the new ring at their degrees")
-        if self.truncation is None:
-            return Presentation(ring, [*(r.lift(ring) for r in self.relations), *relations],
-                                truncation=truncation)
-        if truncation is None:
+        if truncation is not None:
+            return Presentation(ring, relations, truncation=truncation, _known=self)
+        if self.truncation is not None:
             raise PresentationError("extending a truncated ring requires a truncation degree")
-        return Presentation(ring, relations, truncation=truncation, _known=self)
+        return Presentation(ring, [*(r.lift(ring) for r in self.relations), *relations])
 
     def _respaced(self, target: "Presentation", guard: int) -> list[_BasisElement]:
-        """This truncated ring's basis up to ``target``'s truncation and, if
-        that is higher, this truncation's minimal monomials that no lead
-        divides, in the layout of ``target`` (guard bits ``guard``), an
-        extension.  Each exponent field and the degree field move to their
-        new places; no exponent kept exceeds ``target``'s truncation."""
+        """This ring's basis up to ``target``'s truncation and, if that is
+        above this ring's degree bound, the bound's minimal monomials that no
+        lead divides, in the layout of ``target`` (guard bits ``guard``), a
+        truncated extension.  Each exponent field and the degree field move
+        to their new places; no exponent kept exceeds ``target``'s
+        truncation.  A tower's tails come as they are, perhaps unreduced."""
         n, width, new = self.ring.ngens, self._width, target._width
         old_shift, shift = n * width, target.ring.ngens * new
         low, mask = (1 << old_shift) - 1, (1 << width) - 1
@@ -261,9 +265,9 @@ class Presentation:
 
         known = [(move(lead), tuple((move(e), c) for e, c in tail))
                  for lead, tail in self._basis[1] if lead >> old_shift <= target.truncation]
-        if target.truncation > self.truncation:
-            known += [(m, ()) for m in _truncation_monomials(self.ring.degrees, self.truncation,
-                                                             new, shift)
+        bound = self.degree_bound
+        if bound is not None and target.truncation > bound:
+            known += [(m, ()) for m in _truncation_monomials(self.ring.degrees, bound, new, shift)
                       if m < target._limit
                       and not any(((m | guard) - lead) & guard == guard for lead, _ in known)]
         return known
@@ -596,7 +600,9 @@ def _buchberger(
     presentation being built.  ``relations`` are packed polynomials, consumed,
     without their terms above the truncation.  ``known``, a Groebner basis up
     to the truncation in which no lead divides another, starts the basis as
-    it is and is never paired with itself (``Presentation.extend``).
+    it is and is never paired with itself (``Presentation.extend``).  Its
+    tails may be unreduced, as a monic tower's are: the final pass below
+    reduces them with the rest.
 
     Each S-pair of elements k < j is keyed once, when j enters, by (degree
     field of the packed lcm of their leads, -j, -k), and waits in a heap:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,9 @@ from tcbundles import (
     make_bundle,
     point_presentation,
 )
+from tcbundles import ringquot
+from tcbundles.bundles import _plane_relations, grassmann_ring
+from tcbundles.cli import parse_spec_file
 from tcbundles.obstruct import projective_of
 from tcbundles.ringquot import (
     _guard,
@@ -34,6 +38,8 @@ from tcbundles.ringquot import (
 from oracles import f2_ideal_member, f2_quotient_dimension, tower_normal_form
 from oracles import monomials_of_degree as _monomials_of_degree
 from oracles import standard_monomials as oracle_standard_monomials
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def milnor_ring(n: int) -> Presentation:
@@ -570,24 +576,64 @@ def above_truncation(base_ring: PolyRing, ring: PolyRing, bound: int) -> list[Po
             for m in _monomials_of_degree(base_ring, degree)]
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_extend_equals_completing_the_raw_relations(seed):
+def reducible_tail_tower() -> Presentation:
+    """F2[x, y]/(x^2, y^3 + x^2*y), a tower whose lead x^2 divides the tail
+    x^2*y; its box corner is in degree 3.  Its tail enters a truncated
+    extension unreduced, and the extension's basis must hold y^3."""
+    ring = PolyRing(Coeffs.F2, [("x", 1), ("y", 1)])
+    return Presentation(ring, [ring.parse("x^2"), ring.parse("y^3 + x^2*y")])
+
+
+# Tower bases and the truncation of their extension: below, at and above the
+# box corner of the reducible-tail tower, and the free F2[x]
+TOWER_BASES = {f"tail_t{top}": (reducible_tail_tower, top) for top in (3, 4, 6)}
+TOWER_BASES["free_t4"] = (lambda: free_presentation(Coeffs.F2, [("x", 1)]), 4)
+
+
+@pytest.mark.parametrize("case", [*range(12), *TOWER_BASES])
+def test_extend_equals_completing_the_raw_relations(case):
     # new relations of any shape, in the new generator or in the base's own:
     # the completion that starts from the base's basis gives the same ring as
-    # completing the base's raw relations, its truncation's monomials and the
-    # new relations from scratch
-    rng = random.Random(seed)
-    base_ring = PolyRing(Coeffs.F2, [("a", 1), ("b", rng.choice((1, 2)))])
-    bound = rng.randint(2, 5)
-    raw = [random_relation(rng, base_ring, rng.randint(2, bound))
-           for _ in range(rng.randint(0, 2))]
-    base = Presentation(base_ring, raw, truncation=bound)
-    ring = base_ring.with_generators([("t", rng.choice((1, 2)))])
-    top = bound + rng.randint(0, 3)
+    # completing the base's raw relations, a truncated base's monomials above
+    # its truncation and the new relations from scratch.  A seed draws a
+    # truncated base; a tower's relations alone are its raw ones
+    rng = random.Random(case)
+    if case in TOWER_BASES:
+        make, top = TOWER_BASES[case]
+        base = make()
+        raw = list(base.relations)
+    else:
+        base_ring = PolyRing(Coeffs.F2, [("a", 1), ("b", rng.choice((1, 2)))])
+        bound = rng.randint(2, 5)
+        raw = [random_relation(rng, base_ring, rng.randint(2, bound))
+               for _ in range(rng.randint(0, 2))]
+        base = Presentation(base_ring, raw, truncation=bound)
+    ring = base.ring.with_generators([("t", rng.choice((1, 2)))])
+    lifted = [r.lift(ring) for r in raw]
+    if base.truncation is not None:
+        top = base.truncation + rng.randint(0, 3)
+        lifted += above_truncation(base.ring, ring, base.truncation)
     new = [random_relation(rng, ring, rng.randint(1, top)) for _ in range(rng.randint(1, 3))]
-    lifted = [r.lift(ring) for r in raw] + above_truncation(base_ring, ring, bound)
     want = Presentation(ring, lifted + new, truncation=top)
     assert base.extend(ring, new, top) == want
+
+
+def test_a_truncated_extension_of_a_tower_starts_from_its_basis(monkeypatch):
+    # F2[x]/(x^4) has its box corner in degree 3, so its packed basis is
+    # empty: x^4, the minimal monomial above the corner, enters the plane
+    # ring's completion finished, and only the two plane relations are paired
+    calls, buchberger = [], ringquot._buchberger
+
+    def spy(known, relations, *layout):
+        calls.append((list(known), [dict(r) for r in relations]))
+        return buchberger(known, relations, *layout)
+
+    monkeypatch.setattr(ringquot, "_buchberger", spy)
+    b = parse_spec_file(str(ROOT / "specs" / "rp3_bundle.spec")).bundle
+    pres = grassmann_ring(b)[0]
+    [(known, relations)] = calls
+    assert known == [(_pack((4, 0, 0), pres._width, pres.ring.degrees), ())]
+    assert relations == [pres._packed(r) for r in _plane_relations(b)[1]]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -674,7 +720,7 @@ def test_extend_reduces_a_finished_tail_by_a_new_lead():
 
 def test_truncated_extension_of_a_tower_keeps_its_relations_above_the_box_corner():
     # F2[x]/(x^2) has its box corner in degree 1, so its packed basis leaves
-    # x^2 out; the tower enters an extension through its relations
+    # x^2 out; x^2 enters the extension as the minimal monomial above the corner
     base_ring = PolyRing(Coeffs.F2, [("x", 1)])
     base = Presentation(base_ring, [base_ring.parse("x^2")])
     ring = base_ring.with_generators([("y", 1)])

@@ -2,13 +2,16 @@
 
 Each ring is written out here from explicit sums over the bundle's classes:
 the projectivization, the ordered pairs of lines, the planes and the
-unordered pairs of lines, all over a truncated base given by raw relations.
+unordered pairs of lines, all over a base given by raw relations: a
+truncated base, or a monic tower whose quotient vanishes above its box corner.
 A power e^k vanishes when it lies in the ideal of those relations, decided by
 ``oracles.f2_ideal_member``, which shares no code with the package's
 completion, reduction or packing.  Each ring's basis is checked against the
 same ideal: its elements lie in it, it is reduced, and it leaves the
-quotient's dimension in every degree.  The random bundles are small; the two
-truncated specs under ``tests/specs/`` run the same checks at ladder scale.
+quotient's dimension in every degree.  Over a tower only the plane and
+unordered-pairs rings are completed, so only their bases are checked.  The
+random bundles are small; the two truncated specs under ``tests/specs/`` run
+the same checks at ladder scale.
 """
 
 import random
@@ -52,17 +55,28 @@ def random_poly(rng: random.Random, ring: PolyRing, degree: int) -> Polynomial:
                              if rng.random() < 0.6})
 
 
-def random_bundle(seed: int) -> tuple[BundleSpec, list[Polynomial]]:
-    """A real bundle of rank 2 or 3 over a truncated F2 base with 0-2 random
-    relations, and those raw relations."""
+def random_bundle(seed: int, tower: bool = False) -> tuple[BundleSpec, list[Polynomial]]:
+    """A real bundle of rank 2 or 3 over an F2 base, and the base's raw
+    relations: 0-2 random ones under a truncation, or with ``tower`` a monic
+    tower that relates every generator x_i by x_i^m plus random terms."""
     rng = random.Random(seed)
     rank = rng.randint(2, 3)
     gens = [(f"x{i + 1}", rng.choice((1, 1, 2))) for i in range(rng.randint(1, 2))]
     ring = PolyRing(Coeffs.F2, gens)
-    truncation = rng.randint(3, 6)
-    degree = rng.randint(2, truncation)  # one degree, so one relation can reduce the other
-    raw = [random_poly(rng, ring, degree) for _ in range(rng.randint(0, 2))]
-    base = Presentation(ring, raw, truncation=truncation)
+    if tower:
+        raw = []
+        for i, (name, d) in enumerate(gens):
+            m = rng.randint(2, 3)
+            # the other terms of degree m*d have x_i below m and no later generator
+            tail = {e: 1 for e in monomials_of_degree(ring, m * d)
+                    if e[i] < m and not any(e[i + 1:]) and rng.random() < 0.6}
+            raw.append(ring.gen(name) ** m + Polynomial(ring, tail))
+        base = Presentation(ring, raw)
+    else:
+        truncation = rng.randint(3, 6)
+        degree = rng.randint(2, truncation)  # one degree, so one relation can reduce the other
+        raw = [random_poly(rng, ring, degree) for _ in range(rng.randint(0, 2))]
+        base = Presentation(ring, raw, truncation=truncation)
     classes = [base.element(random_poly(rng, ring, i)) for i in range(1, rank + 1)]
     return BundleSpec(KField.R, rank, base, classes), raw
 
@@ -80,11 +94,13 @@ class RawRing:
             return Polynomial(self.ring, {e + pad: c for e, c in p.terms.items()})
 
         self.w = [self.ring.one()] + [lift(c.poly) for c in b.classes] + [self.ring.zero()]
-        # every monomial of base degree above the truncation is a multiple of
-        # one of degree truncation + 1, ..., truncation + (largest degree)
-        above = range(b.base.truncation + 1, b.base.truncation + max(base.degrees) + 1)
-        self.relations = [lift(r) for r in raw] + [
-            self.ring.monomial(m + pad) for top in above for m in monomials_of_degree(base, top)]
+        self.relations = [lift(r) for r in raw]
+        if b.base.truncation is not None:
+            # every monomial of base degree above the truncation is a multiple
+            # of one of degree truncation + 1, ..., truncation + (largest degree)
+            above = range(b.base.truncation + 1, b.base.truncation + max(base.degrees) + 1)
+            self.relations += [self.ring.monomial(m + pad)
+                               for top in above for m in monomials_of_degree(base, top)]
 
     def vanishes(self, p: Polynomial) -> bool:
         return p.degree() > self.truncation or f2_ideal_member(self.ring, self.relations, p)
@@ -92,7 +108,7 @@ class RawRing:
 
 def projective(b: BundleSpec, raw: list[Polynomial]) -> tuple[RawRing, Polynomial]:
     n = b.n
-    proj = RawRing(b, raw, [("t", 1)], b.base.truncation + n)
+    proj = RawRing(b, raw, [("t", 1)], b.base.degree_bound + n)
     t = proj.ring.gen("t")
 
     def x(i: int) -> Polynomial:  # x_i = sum_j (-t)^(i-j) w_j
@@ -104,7 +120,7 @@ def projective(b: BundleSpec, raw: list[Polynomial]) -> tuple[RawRing, Polynomia
 
 def ordered_pairs(b: BundleSpec, raw: list[Polynomial]) -> tuple[RawRing, Polynomial]:
     n = b.n
-    qt = RawRing(b, raw, [("S", 1), ("T", 1)], b.base.truncation + 2 * n - 1)
+    qt = RawRing(b, raw, [("S", 1), ("T", 1)], b.base.degree_bound + 2 * n - 1)
     s, t = qt.ring.gen("S"), qt.ring.gen("T")
 
     def h(i: int) -> Polynomial:  # complete homogeneous h_i(S, T)
@@ -117,7 +133,7 @@ def ordered_pairs(b: BundleSpec, raw: list[Polynomial]) -> tuple[RawRing, Polyno
 
 def planes(b: BundleSpec, raw: list[Polynomial], extra=()) -> RawRing:
     n = b.n
-    plane = RawRing(b, raw, [("Y", 1), ("Z", 2), *extra], b.base.truncation + 2 * n + 2)
+    plane = RawRing(b, raw, [("Y", 1), ("Z", 2), *extra], b.base.degree_bound + 2 * n + 2)
     ring = plane.ring
 
     def p_xi(i: int) -> Polynomial:
@@ -166,7 +182,7 @@ def check_reduced_basis(pres: Presentation, raw: RawRing) -> None:
 
 # Each ring of a bundle: the package's presentation and the raw ring it presents
 RINGS = {
-    "base": lambda b, raw: (b.base, RawRing(b, raw, [], b.base.truncation)),
+    "base": lambda b, raw: (b.base, RawRing(b, raw, [], b.base.degree_bound)),
     "proj": lambda b, raw: (projective_of(b)[0], projective(b, raw)[0]),
     "qtilde": lambda b, raw: (q_tilde_of(b, Coeffs.F2)[0], ordered_pairs(b, raw)[0]),
     "plane": lambda b, raw: (grassmann_of(b)[0], planes(b, raw)),
@@ -189,6 +205,15 @@ def test_f2_verdicts_match_the_raw_relations(seed):
     f2_verdicts(b, raw)
     for ring in RINGS.values():
         check_reduced_basis(*ring(b, raw))
+
+
+# A tower base and the rings that stay towers keep their tails unreduced
+@pytest.mark.parametrize("seed", range(8))
+def test_f2_verdicts_over_a_tower_match_the_raw_relations(seed):
+    b, raw = random_bundle(seed, tower=True)
+    f2_verdicts(b, raw)
+    for which in ("plane", "feder"):
+        check_reduced_basis(*RINGS[which](b, raw))
 
 
 def ladder_bundle(name: str) -> BundleSpec:
