@@ -58,7 +58,10 @@ With G the mask of guard bits, a lead l divides m exactly when
 m_i + 2^(width-1) - l_i, which lies in [0, 2^width), so no field borrows
 from the next, and it keeps its guard bit just when m_i >= l_i.  The degree
 field takes no part in the test.  The quotient is ``m - l`` and a product is
-``m + l``, degree field included.
+``m + l``, degree field included.  So a divisor l of m is at most m as an
+int, and every stored basis is kept sorted by lead: a scan for a divisor of
+m stops at the first lead above m, which neither it nor any later lead
+divides.
 
 Each presentation's constructor alone fixes its layout, at one width, that
 of its degree bound: the truncation, else, when every generator g has a
@@ -97,6 +100,7 @@ one walk and caches the counts; ``dimension``, ``top_degree`` and
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from enum import Enum
 from heapq import heapify, heappop, heappush
@@ -195,7 +199,7 @@ class Presentation:
         # relations are homogeneous: one above the degree bound packs empty
         packed = [p for p in map(self._packed, rels) if p]
         if truncation is None:
-            basis = tuple(map(_lead_and_tail, packed))
+            basis = tuple(sorted(map(_lead_and_tail, packed)))
         else:
             known = [] if _known is None else _known._respaced(self, guard)
             basis = _buchberger(known, packed, guard, self._limit, self._width, ring.degrees)
@@ -375,7 +379,8 @@ class Presentation:
         once, through its divisors.  A divisor of a standard monomial is
         standard, so the walk stops at the first multiple of a lead.  Raising
         generator i to exponent x can only bring in a lead whose exponent at
-        i is x, so leads are indexed by (i, x).
+        i is x, so leads are indexed by (i, x), and a plain loop tests those
+        leads, stopping at the first that divides.
         """
         width = self._width
         guard, basis = self._basis
@@ -383,7 +388,8 @@ class Presentation:
         n = len(degrees)
         shift, mask = n * width, (1 << width) - 1
         limit = (top + 1) << shift
-        raise_by = [(1 << i * width) + (d << shift) for i, d in enumerate(degrees)]
+        # generator i, the step that raises it, and its field's offset
+        steps = [(i, (1 << i * width) + (d << shift), i * width) for i, d in enumerate(degrees)]
         by_raise: dict[tuple[int, int], list[int]] = {}
         for lead, _ in basis:
             if not lead:
@@ -395,13 +401,15 @@ class Presentation:
         while stack:
             m, first = stack.pop()
             yield m, m >> shift
-            for i in range(first, n):
-                raised = m + raise_by[i]
+            for i, step, at in steps[first:]:
+                raised = m + step
                 if raised >= limit:
                     continue
-                leads = by_raise.get((i, ((m >> i * width) & mask) + 1), ())
                 rg = raised | guard
-                if not any((rg - lead) & guard == guard for lead in leads):
+                for lead in by_raise.get((i, ((m >> at) & mask) + 1), ()):
+                    if (rg - lead) & guard == guard:
+                        break
+                else:
                     stack.append((raised, i))
 
     def dimension(self, degree: int) -> int:
@@ -560,8 +568,10 @@ def _reduce(
     Terms are taken from the largest monomial down with their coefficients
     merged, so each monomial is reduced at most once; a monomial divisible by
     a lead is replaced by the shifted, negated tail of the first such basis
-    element.  Relations are homogeneous, so a rewrite stays in the degree of
-    the monomial it replaces, and a heap keyed on ``-m`` orders every degree.
+    element.  ``basis`` is sorted by lead, so the scan for a divisor of m
+    keeps m at the first lead above it: a divisor is at most m as an int.
+    Relations are homogeneous, so a rewrite stays in the degree of the
+    monomial it replaces, and a heap keyed on ``-m`` orders every degree.
     """
     heap = [-m for m in work]
     heapify(heap)
@@ -575,6 +585,9 @@ def _reduce(
             continue
         mg = m | guard
         for lead, tail in basis:
+            if lead > m:
+                out[m] = c
+                break
             if (mg - lead) & guard == guard:
                 shift = m - lead
                 for e, tc in tail:
@@ -620,13 +633,16 @@ def _buchberger(
     lead the new lead divides.  Dropping the marked ones leaves a minimal
     basis with the same leading ideal; each remaining non-empty tail is
     reduced once against it.  That is the unique reduced basis up to the
-    truncation.
+    truncation.  ``basis`` stays in insertion order, which the pair keys and
+    the marks index; ``_reduce`` reads ``by_lead``, the same elements kept
+    sorted by lead with ``insort``, so its scans exit early.
     """
     n = len(degrees)
     shift = n * width
     low = (1 << shift) - 1  # every exponent field, no degree field
     fill = guard - (guard >> (width - 1))
     basis = list(known)
+    by_lead = sorted(basis)  # the reducer's view of ``basis``, in lead order
     redundant: set[int] = set()  # indices of elements whose lead a later lead divides
     pairs: list[tuple[int, int, int, int]] = []
 
@@ -648,9 +664,10 @@ def _buchberger(
             if lcm < limit:
                 heappush(pairs, (lcm >> shift, -j, -k, lcm))
         basis.append(element)
+        insort(by_lead, element)
 
     for packed in relations:
-        reduced = _reduce(packed, basis, guard, True)
+        reduced = _reduce(packed, by_lead, guard, True)
         if reduced:
             add(_lead_and_tail(reduced))
     while pairs:
@@ -659,7 +676,7 @@ def _buchberger(
         # merged tail counts mod 2
         spoly = Counter(e + lcm - lead
                         for lead, tail in (basis[-minus_k], basis[-minus_j]) for e, _ in tail)
-        reduced = _reduce(spoly, basis, guard, True)
+        reduced = _reduce(spoly, by_lead, guard, True)
         if reduced:
             add(_lead_and_tail(reduced))
 

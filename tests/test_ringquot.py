@@ -24,9 +24,9 @@ from tcbundles import (
     point_presentation,
 )
 from tcbundles import ringquot
-from tcbundles.bundles import _plane_relations, grassmann_ring
+from tcbundles.bundles import _plane_relations, feder_ring, grassmann_ring
 from tcbundles.cli import parse_spec_file
-from tcbundles.obstruct import projective_of
+from tcbundles.obstruct import projective_of, sphere_quotient_ring
 from tcbundles.ringquot import (
     _guard,
     _pack,
@@ -425,6 +425,87 @@ def test_integral_tower_normal_forms_match_stack_oracle(seed):
     for _ in range(6):
         p = random_integral_polynomial(rng, ring) * random_integral_polynomial(rng, ring)
         assert pres.normal_form(p) == tower_normal_form(rels, p)
+
+
+# -- bases sorted by lead ---------------------------------------------------------
+
+
+def out_of_order_tower(coeffs: Coeffs) -> tuple[Presentation, list[Polynomial]]:
+    """F2[x:1, y:2]/(x^5, y^2 + x^2*y), or Z[x:2, y:4]/(x^5, y^2 - x^2*y)
+    (Z takes even degrees only): the generator order is not the lead order,
+    as x^5 lies above y^2."""
+    scale = 1 if coeffs is Coeffs.F2 else 2
+    ring = PolyRing(coeffs, [("x", scale), ("y", 2 * scale)])
+    tail = "+" if coeffs is Coeffs.F2 else "-"
+    rels = [ring.parse("x^5"), ring.parse(f"y^2 {tail} x^2*y")]
+    return Presentation(ring, rels), rels
+
+
+def _sorted_basis_cases() -> dict:
+    def truncated_base():
+        ring = PolyRing(Coeffs.F2, [("a", 1), ("b", 1)])
+        return Presentation(ring, [ring.parse("a*b + a^2"), ring.parse("b^3")], truncation=6)
+
+    def extended(base, top):
+        ring = base.ring.with_generators([("t", 1)])
+        return base.extend(ring, [ring.parse(f"t^2 + {ring.names[0]}*t")], top)
+
+    def feder():
+        b = parse_spec_file(str(ROOT / "tests" / "specs" / "truncated_r3_t8.spec")).bundle
+        return feder_ring(b, grassmann_ring(b)[0])[0]
+
+    return {
+        "tower_f2": lambda: out_of_order_tower(Coeffs.F2)[0],
+        "tower_z": lambda: out_of_order_tower(Coeffs.INT)[0],
+        "truncated_to_truncated": lambda: extended(truncated_base(), 7),
+        "tower_to_truncated": lambda: extended(out_of_order_tower(Coeffs.F2)[0], 8),
+        "sphere_quotient_truncated": lambda: sphere_quotient_ring(
+            make_bundle(KField.R, 2, truncated_base(), {1: "a", 2: "b^2"})),
+        "sphere_quotient_tower": lambda: sphere_quotient_ring(
+            make_bundle(KField.R, 2, out_of_order_tower(Coeffs.F2)[0], {2: "y"})),
+        "feder": feder,
+    }
+
+
+SORTED_BASIS_CASES = _sorted_basis_cases()
+
+
+@pytest.mark.parametrize("case", SORTED_BASIS_CASES)
+def test_every_basis_is_stored_strictly_increasing_by_lead(case):
+    # _reduce stops each divisor scan at the first lead above the term
+    pres = SORTED_BASIS_CASES[case]()
+    leads = [lead for lead, _ in pres._basis[1]]
+    assert len(leads) > 1
+    assert all(a < b for a, b in zip(leads, leads[1:]))
+
+
+@pytest.mark.parametrize("coeffs", [Coeffs.F2, Coeffs.INT])
+def test_normal_forms_in_a_tower_out_of_lead_order_match_the_stack_oracle(coeffs):
+    # an early exit over the leads in generator order would meet x^5 first
+    # and keep y^2 as standard
+    pres, rels = out_of_order_tower(coeffs)
+    ring = pres.ring
+    monomials = [ring.monomial(e) for m in range(pres.degree_bound + 3)
+                 for e in _monomials_of_degree(ring, m)]
+    for p in monomials:
+        assert pres.normal_form(p) == tower_normal_form(rels, p)
+    rng = random.Random(0)
+    for _ in range(20):
+        p = sum((rng.choice((-2, -1, 1, 3)) * rng.choice(monomials) for _ in range(4)),
+                ring.zero())
+        assert pres.normal_form(p * p) == tower_normal_form(rels, p * p)
+
+
+def test_normal_forms_after_a_truncated_extension_of_that_tower_match_the_stack_oracle():
+    base, rels = out_of_order_tower(Coeffs.F2)
+    ring = base.ring.with_generators([("t", 1)])
+    lifted = [r.lift(ring) for r in rels]
+    top = 9
+    pres = base.extend(ring, [], top)
+    for m in range(top + 2):
+        for e in _monomials_of_degree(ring, m):
+            p = ring.monomial(e)
+            assert pres.normal_form(p) == tower_normal_form(lifted, p, top)
 
 
 @pytest.mark.parametrize("coeffs,degree", [(Coeffs.F2, 1)])
