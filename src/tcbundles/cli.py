@@ -71,8 +71,9 @@ class ParsedSpec:
 # Least value of each integer key, checked where it is parsed so that the
 # error carries its line.
 _INT_MINIMUM = {"rank": 2, "truncation": 1, "kmax": 0}
-# The keys each section takes; a [classes] key is w<i>.  The header parses a
-# kmax or truncation too, and then reports that it belongs in a section.
+# The keys each section takes; a [classes] key is w<i>.  A key of another
+# section in the header belongs in a section, reported after a kmax or
+# truncation value is parsed.
 _SECTION_KEYS = {
     "": ("field", "rank", "coeffs"),
     "base": ("generator", "relation", "truncation"),
@@ -105,7 +106,7 @@ def _entries(raw_lines: list[str], path: str) -> Iterator[tuple[str, str, str, i
         else:
             key, _, value = line.partition("=")
             key = key.strip()
-            if section == "classes" and not (key.startswith("w") and key[1:].isdigit()):
+            if section == "classes" and not (key.startswith("w") and key[1:].isdecimal()):
                 raise SpecFileError(f"class key must look like w3, got {key!r}", path, line_no)
             key = f"w{int(key[1:])}" if section == "classes" else key.lower()
             yield section, key, value.strip(), line_no
@@ -115,12 +116,12 @@ def _parse_value(section: str, key: str, value: str, path: str, line_no: int) ->
     """Parse the value of one entry; a bad value is an error at its line."""
     if section == "classes":
         return value  # an expression, parsed once the base is built
-    if key == "relation":
-        expr = value[len("relation"):].strip()
-        if not expr:
-            raise SpecFileError("relation needs an expression", path, line_no)
-        return expr
     if section == "base":
+        if key == "relation":
+            expr = value[len("relation"):].strip()
+            if not expr:
+                raise SpecFileError("relation needs an expression", path, line_no)
+            return expr
         parts = value.split()
         if len(parts) != len(_BASE_USAGE[key].split()) + 1:
             raise SpecFileError(f"usage: {key} {_BASE_USAGE[key]}", path, line_no)
@@ -150,6 +151,8 @@ def _parse_value(section: str, key: str, value: str, path: str, line_no: int) ->
         if value.lower() in ("z", "int", "integer"):
             return Coeffs.INT
         raise SpecFileError(f"coeffs must be f2 or z, got {value!r}", path, line_no)
+    if key in _SECTION_KEYS["base"]:
+        return value  # a header generator or relation, which belongs in a section
     raise SpecFileError(f"unknown key {key!r}", path, line_no)
 
 

@@ -330,10 +330,11 @@ class Presentation:
         return self._reduced(self._packed(p))
 
     def zero(self) -> "Element":
-        return self.element(0)
+        return Element(self, {})
 
     def one(self) -> "Element":
-        return self.element(1)
+        # the packed 1 is the int 0; a unit lead reduces it to zero
+        return self._reduced({0: 1})
 
     # -- degreewise structure ----------------------------------------------------
 
@@ -617,72 +618,69 @@ def _buchberger(
     tails may be unreduced, as a monic tower's are: the final pass below
     reduces them with the rest.
 
-    Each S-pair of elements k < j is keyed once, when j enters, by (degree
-    field of the packed lcm of their leads, -j, -k), and waits in a heap:
-    pairs pop lowest degree first and, within a degree, newest first.  A pair
-    is never queued when both elements are monomials, when its leads are
-    coprime (Buchberger's first criterion) or when their lcm lies above the
-    truncation: each S-polynomial is zero or reduces to zero.  A lead's
-    generators are marked on the packed lead, ``((lead & low) + fill) &
-    guard`` with 2^(width-1) - 1 in each field of ``fill``, exact as no
-    exponent reaches its guard bit; coprimality is one AND of two marks, and
-    a lead is unpacked only for a pair that needs its lcm.
+    Each S-pair is keyed once, when its later element enters, by (packed
+    lcm of their leads, that element, the earlier one), and waits in a heap.
+    The top field of a packed lcm is its degree, so pairs pop lowest degree
+    first and, within a degree, in graded-lex order; leads are distinct, so
+    two keys never compare tails.  A pair is never queued when both elements
+    are monomials, when its leads are coprime (Buchberger's first criterion)
+    or when their lcm lies above the truncation: each S-polynomial is zero or
+    reduces to zero.  A lead's generators are marked on the packed lead,
+    ``((lead & low) + fill) & guard`` with 2^(width-1) - 1 in each field of
+    ``fill``, exact as no exponent reaches its guard bit; coprimality is one
+    AND of two marks, and a lead is unpacked only for a pair that needs its
+    lcm.
 
-    Each new element is fully reduced by all before it, so only a later lead
-    can divide an earlier one, and ``add`` marks every earlier element whose
-    lead the new lead divides.  Dropping the marked ones leaves a minimal
-    basis with the same leading ideal; each remaining non-empty tail is
-    reduced once against it.  That is the unique reduced basis up to the
-    truncation.  ``basis`` stays in insertion order, which the pair keys and
-    the marks index; ``_reduce`` reads ``by_lead``, the same elements kept
-    sorted by lead with ``insort``, so its scans exit early.
+    ``basis`` is one list, kept sorted by lead with ``insort``, so that
+    ``_reduce``'s scans exit early.  Each new element is fully reduced by all
+    before it, so only a later lead can divide an earlier one, and ``add``
+    marks every lead that the new lead divides.  Dropping the marked
+    elements leaves a minimal basis with the same leading ideal, still in
+    lead order; each remaining non-empty tail is reduced once against it.
+    That is the unique reduced basis up to the truncation.
     """
     n = len(degrees)
     shift = n * width
     low = (1 << shift) - 1  # every exponent field, no degree field
     fill = guard - (guard >> (width - 1))
-    basis = list(known)
-    by_lead = sorted(basis)  # the reducer's view of ``basis``, in lead order
-    redundant: set[int] = set()  # indices of elements whose lead a later lead divides
-    pairs: list[tuple[int, int, int, int]] = []
+    basis = sorted(known)
+    redundant: set[int] = set()  # leads that a later lead divides
+    pairs: list[tuple[int, _BasisElement, _BasisElement]] = []
 
     def add(element: _BasisElement) -> None:
         lead, tail = element
-        j = len(basis)
         gens = ((lead & low) + fill) & guard  # the guard bit of each generator in lead
         exps = None  # lead unpacked, once a pair needs an lcm
-        for k, (other, other_tail) in enumerate(basis):
-            if ((other | guard) - lead) & guard == guard:
-                redundant.add(k)
+        for other in basis:
+            other_lead, other_tail = other
+            if ((other_lead | guard) - lead) & guard == guard:
+                redundant.add(other_lead)
             if not tail and not other_tail:
                 continue  # two monomials: the S-polynomial is zero
-            if not gens & ((other & low) + fill):
+            if not gens & ((other_lead & low) + fill):
                 continue  # coprime leads: gens holds guard bits only
             if exps is None:
                 exps = _unpack(lead, n, width)
-            lcm = _pack(tuple(map(max, _unpack(other, n, width), exps)), width, degrees)
+            lcm = _pack(tuple(map(max, _unpack(other_lead, n, width), exps)), width, degrees)
             if lcm < limit:
-                heappush(pairs, (lcm >> shift, -j, -k, lcm))
-        basis.append(element)
-        insort(by_lead, element)
+                heappush(pairs, (lcm, element, other))
+        insort(basis, element)
 
     for packed in relations:
-        reduced = _reduce(packed, by_lead, guard, True)
+        reduced = _reduce(packed, basis, guard, True)
         if reduced:
             add(_lead_and_tail(reduced))
     while pairs:
-        _, minus_j, minus_k, lcm = heappop(pairs)
+        lcm, *pair = heappop(pairs)
         # the two leads both shift to lcm and cancel; _reduce takes the
         # merged tail counts mod 2
-        spoly = Counter(e + lcm - lead
-                        for lead, tail in (basis[-minus_k], basis[-minus_j]) for e, _ in tail)
-        reduced = _reduce(spoly, by_lead, guard, True)
+        spoly = Counter(e + lcm - lead for lead, tail in pair for e, _ in tail)
+        reduced = _reduce(spoly, basis, guard, True)
         if reduced:
             add(_lead_and_tail(reduced))
 
-    # no two leads are equal, so the elements sort by lead: graded-lex order;
     # an empty tail stays empty
-    minimal = sorted(el for k, el in enumerate(basis) if k not in redundant)
+    minimal = [(lead, tail) for lead, tail in basis if lead not in redundant]
     return tuple((lead, tail and tuple(_reduce(dict(tail), minimal, guard, True).items()))
                  for lead, tail in minimal)
 

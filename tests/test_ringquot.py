@@ -25,8 +25,14 @@ from tcbundles import (
 )
 from tcbundles import ringquot
 from tcbundles.bundles import _plane_relations, feder_ring, grassmann_ring
-from tcbundles.cli import parse_spec_file
-from tcbundles.obstruct import projective_of, sphere_quotient_ring
+from tcbundles.cli import parse_spec_file, run_criteria
+from tcbundles.obstruct import (
+    feder_of,
+    grassmann_of,
+    projective_of,
+    q_tilde_of,
+    sphere_quotient_ring,
+)
 from tcbundles.ringquot import (
     _guard,
     _pack,
@@ -639,6 +645,47 @@ def test_truncated_base_with_a_fibre_relation_matches_sympy_and_oracles(seed):
     assert all(f2_ideal_member(ring, rels, r) for r in pres.relations)
 
 
+# -- the completion's work, pinned --------------------------------------------------
+
+# (spec, `_reduce` calls, heap pops) inside `_buchberger` while `run_criteria`
+# builds every ring of the spec from cold caches.  The reduced basis is
+# unique, so these counts move only when the completion does more or less
+# work; a change that moves one updates this table and says why.
+COMPLETION_WORK = [
+    ("truncated_r3_t8", 15, 87),
+    ("truncated_r4_t12", 212, 10_429),
+]
+
+
+@pytest.mark.parametrize("spec,reduces,pops", COMPLETION_WORK,
+                         ids=[spec for spec, _, _ in COMPLETION_WORK])
+def test_completion_work_is_pinned(monkeypatch, spec, reduces, pops):
+    counts = {"reduce": 0, "pop": 0}
+    inside = []  # non-empty while _buchberger runs
+    buchberger, reduce, heappop = ringquot._buchberger, ringquot._reduce, ringquot.heappop
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += bool(inside)
+            return f(*args)
+        return wrapper
+
+    def spy(*args):
+        inside.append(True)
+        try:
+            return buchberger(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ringquot, "_buchberger", spy)
+    monkeypatch.setattr(ringquot, "_reduce", counted("reduce", reduce))
+    monkeypatch.setattr(ringquot, "heappop", counted("pop", heappop))
+    for cached in (projective_of, q_tilde_of, grassmann_of, feder_of, sphere_quotient_ring):
+        cached.cache_clear()
+    run_criteria(parse_spec_file(str(ROOT / "tests" / "specs" / f"{spec}.spec")))
+    assert (counts["reduce"], counts["pop"]) == (reduces, pops)
+
+
 # -- extending a completed presentation ---------------------------------------------
 
 
@@ -1134,6 +1181,36 @@ def test_untruncated_power_sequences_match_normal_forms():
     free = PACKED_KINDS["f2_free"]
     low = free.element("c^4 + a") - free.element("c^4")
     assert low == free.element("a") and hash(low) == hash(free.element("a"))
+
+
+def _zero_and_one_cases() -> dict:
+    def zero_ring():
+        ring = PolyRing(Coeffs.F2, [("a", 1)])
+        return Presentation(ring, [ring.one()], truncation=3)
+
+    truncated = PolyRing(Coeffs.F2, [("a", 1), ("b", 1), ("c", 1)])
+    return {
+        "zero_ring": zero_ring,
+        "point_f2": lambda: point_presentation(Coeffs.F2),
+        "point_z": lambda: point_presentation(Coeffs.INT),
+        "z_tower": lambda: out_of_order_tower(Coeffs.INT)[0],
+        "f2_truncated": lambda: Presentation(
+            truncated, [truncated.parse("a^2 + b*c"), truncated.parse("c^3")], truncation=8),
+        "f2_free": lambda: PACKED_KINDS["f2_free"],
+    }
+
+
+ZERO_AND_ONE_CASES = _zero_and_one_cases()
+
+
+@pytest.mark.parametrize("case", ZERO_AND_ONE_CASES)
+def test_zero_and_one_are_the_elements_of_0_and_1(case):
+    pres = ZERO_AND_ONE_CASES[case]()
+    for built, want in ((pres.zero(), pres.element(0)), (pres.one(), pres.element(1))):
+        assert built == want and hash(built) == hash(want)
+        assert built.is_zero() == want.is_zero()
+    assert pres.zero().is_zero()
+    assert pres.one().is_zero() == (case == "zero_ring")
 
 
 # -- identity: == compares like with like, and equal objects hash alike --------------------

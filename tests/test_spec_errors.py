@@ -42,6 +42,9 @@ FAULTS = [
     ("kmax_in_header_below_zero", HEAD + "kmax = -1\n", "criteria"),
     ("truncation_in_header", HEAD + "truncation = 5\n", "criteria"),
     ("truncation_in_header_below_one", HEAD + "truncation = 0\n", "criteria"),
+    ("relation_in_header", HEAD + "relation = x^2\n", "criteria"),
+    ("relation_in_header_long", HEAD + "relation = x^2+x*y+y^2\n", "criteria"),
+    ("generator_in_header", HEAD + "generator = x 1\n", "criteria"),
     ("missing_field", "rank = 3\n", "criteria"),
     ("missing_rank", "field = R\n", "criteria"),
     ("missing_rank_after_sections", "field = R\n[options]\nkmax = 3\n", "criteria"),
@@ -110,6 +113,7 @@ FAULTS = [
     ("class_key_upper_case", BASE + "[classes]\nW1 = x\n", "criteria"),
     ("class_key_without_index", BASE + "[classes]\nw = x\n", "criteria"),
     ("class_key_trailing_letter", BASE + "[classes]\nw1a = x\n", "criteria"),
+    ("class_key_superscript_digit", BASE + "[classes]\nw² = 0\n", "criteria"),
     ("class_index_above_rank", BASE + "[classes]\nw1 = x\nw7 = x^7\n", "criteria"),
     ("class_index_zero", BASE + "[classes]\nw0 = 1\n", "criteria"),
     ("bad_class_expression", BASE + "[classes]\nw1 = x^^2\n", "criteria"),
